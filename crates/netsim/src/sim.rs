@@ -1,7 +1,5 @@
 //! The simulator: topology construction, event dispatch, agent hosting.
 
-use std::collections::HashMap;
-
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -111,7 +109,8 @@ impl SimBuilder {
         let mut sim = Simulator {
             now: SimTime::ZERO,
             events: EventQueue::new(),
-            node_agents: vec![HashMap::new(); self.node_count],
+            node_agents: vec![Vec::new(); self.node_count],
+            action_pool: Vec::new(),
             links,
             agents: Vec::new(),
             agent_meta: Vec::new(),
@@ -148,8 +147,12 @@ struct AgentMeta {
 pub struct Simulator {
     now: SimTime,
     events: EventQueue,
-    /// Per node: flow → agent serving it.
-    node_agents: Vec<HashMap<FlowId, AgentId>>,
+    /// Per node: `(flow, agent serving it)`, sorted by flow.
+    node_agents: Vec<Vec<(FlowId, AgentId)>>,
+    /// Emptied action buffers, reused by [`Simulator::call_agent`]. A
+    /// callback that delivers locally re-enters `call_agent` while the outer
+    /// call still holds its buffer, so this is a stack, not one buffer.
+    action_pool: Vec<Vec<AgentAction>>,
     links: Vec<Link>,
     agents: Vec<Option<Box<dyn Agent>>>,
     agent_meta: Vec<AgentMeta>,
@@ -423,8 +426,11 @@ impl Simulator {
     pub fn add_agent(&mut self, node: NodeId, flow: FlowId, agent: Box<dyn Agent>) -> AgentId {
         assert!(!self.started, "agents must be added before the simulation starts");
         let id = AgentId::from_raw(self.agents.len() as u32);
-        let prev = self.node_agents[node.index()].insert(flow, id);
-        assert!(prev.is_none(), "flow {flow} already has an agent at {node}");
+        let served = &mut self.node_agents[node.index()];
+        match served.binary_search_by_key(&flow, |&(f, _)| f) {
+            Ok(_) => panic!("flow {flow} already has an agent at {node}"),
+            Err(pos) => served.insert(pos, (flow, id)),
+        }
         self.agents.push(Some(agent));
         self.agent_meta.push(AgentMeta {
             node,
@@ -558,13 +564,15 @@ impl Simulator {
     }
 
     fn deliver(&mut self, node: NodeId, packet: Packet) {
-        match self.node_agents[node.index()].get(&packet.flow).copied() {
-            Some(agent) => {
+        let served = &self.node_agents[node.index()];
+        match served.binary_search_by_key(&packet.flow, |&(f, _)| f) {
+            Ok(pos) => {
+                let agent = served[pos].1;
                 self.stats.delivered += 1;
                 self.trace_packet(&packet, TraceEventKind::Delivered(node));
                 self.call_agent(agent, AgentCall::Packet(packet));
             }
-            None => {
+            Err(_) => {
                 self.stats.no_route_drops += 1;
                 self.trace_packet(&packet, TraceEventKind::NoRoute);
             }
@@ -752,7 +760,7 @@ impl Simulator {
         if obs::enabled() {
             obs::set_current_flow(Some(flow.index() as u64));
         }
-        let mut actions: Vec<AgentAction> = Vec::new();
+        let mut actions = self.action_pool.pop().unwrap_or_default();
         {
             let rng = &mut self.rng;
             let mut draw = move || rng.gen::<f64>();
@@ -772,9 +780,10 @@ impl Simulator {
             }
         }
         self.agents[id.index()] = Some(agent);
-        for action in actions {
+        for action in actions.drain(..) {
             self.apply_action(id, node, flow, action);
         }
+        self.action_pool.push(actions);
         if obs::enabled() {
             obs::set_current_flow(None);
         }

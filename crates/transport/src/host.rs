@@ -5,7 +5,6 @@
 //! [`attach_flow`] helper wires a sender/receiver pair onto a topology.
 
 use std::any::Any;
-use std::collections::HashMap;
 
 use netsim::agent::{Agent, AgentCtx};
 use netsim::ids::{AgentId, FlowId, NodeId};
@@ -70,12 +69,16 @@ pub struct SenderHost<S> {
     mss: u32,
     start_at: SimTime,
     started: bool,
-    tx_counts: HashMap<u64, u32>,
+    /// Transmissions so far of each segment, indexed by sequence number.
+    tx_counts: Vec<u32>,
     stats: SenderStats,
     trace_cwnd: bool,
     cwnd_trace: Vec<(SimTime, f64)>,
     out: SenderOutput,
     pacer: Pacer,
+    /// Segments about to be sent by the current callback; kept across
+    /// callbacks so that sending allocates nothing in steady state.
+    batch: Vec<Transmission>,
 }
 
 impl<S: TcpSenderAlgo> SenderHost<S> {
@@ -87,12 +90,13 @@ impl<S: TcpSenderAlgo> SenderHost<S> {
             mss: opts.mss,
             start_at: opts.start_at,
             started: false,
-            tx_counts: HashMap::new(),
+            tx_counts: Vec::new(),
             stats: SenderStats::default(),
             trace_cwnd: opts.trace_cwnd,
             cwnd_trace: Vec::new(),
             out: SenderOutput::new(),
             pacer: Pacer::new(),
+            batch: Vec::new(),
         }
     }
 
@@ -123,10 +127,9 @@ impl<S: TcpSenderAlgo> SenderHost<S> {
     }
 
     fn apply_output(&mut self, ctx: &mut AgentCtx<'_>) {
-        let transmissions = self.out.take_transmissions();
         match self.algo.pacing_rate() {
             Some(rate) => {
-                for t in transmissions {
+                for &t in self.out.transmissions() {
                     self.pacer.enqueue(t);
                 }
                 self.release_paced(ctx, rate);
@@ -134,12 +137,10 @@ impl<S: TcpSenderAlgo> SenderHost<S> {
             None => {
                 // The algorithm stopped pacing (or never paced); flush any
                 // residue the pacer still holds, then send directly.
-                for t in self.pacer.drain() {
-                    self.send_segment(ctx, t);
-                }
-                for t in transmissions {
-                    self.send_segment(ctx, t);
-                }
+                let mut batch = std::mem::take(&mut self.batch);
+                self.pacer.drain(&mut batch);
+                batch.extend_from_slice(self.out.transmissions());
+                self.send_batch(ctx, batch);
             }
         }
         match self.out.timer() {
@@ -153,25 +154,37 @@ impl<S: TcpSenderAlgo> SenderHost<S> {
     /// Releases every paced segment now due and re-arms the auxiliary timer
     /// for the next release instant, if any segment is still waiting.
     fn release_paced(&mut self, ctx: &mut AgentCtx<'_>, rate: f64) {
-        let due = self.pacer.release_due(ctx.now, rate);
-        if !due.is_empty() && obs::enabled() {
-            obs::count("pacer.released", due.len() as u64);
-            obs::observe("pacer.batch", due.len() as u64);
+        let mut batch = std::mem::take(&mut self.batch);
+        let released = self.pacer.release_due(ctx.now, rate, &mut batch);
+        if released > 0 && obs::enabled() {
+            obs::count("pacer.released", released as u64);
+            obs::observe("pacer.batch", released as u64);
             obs::span(ctx.now.as_nanos(), "pacer.release", || {
-                format!("batch={} rate_sps={:.0}", due.len(), rate)
+                format!("batch={released} rate_sps={rate:.0}")
             });
         }
-        for t in due {
-            self.stats.paced_segments += 1;
-            self.send_segment(ctx, t);
-        }
+        self.stats.paced_segments += released as u64;
+        self.send_batch(ctx, batch);
         if let Some(at) = self.pacer.next_deadline() {
             ctx.set_aux_timer(at);
         }
     }
 
+    /// Sends every segment of `batch` in order, then keeps the emptied
+    /// buffer for the next callback.
+    fn send_batch(&mut self, ctx: &mut AgentCtx<'_>, mut batch: Vec<Transmission>) {
+        for t in batch.drain(..) {
+            self.send_segment(ctx, t);
+        }
+        self.batch = batch;
+    }
+
     fn send_segment(&mut self, ctx: &mut AgentCtx<'_>, t: Transmission) {
-        let count = self.tx_counts.entry(t.seq).or_insert(0);
+        let seq = t.seq as usize;
+        if seq >= self.tx_counts.len() {
+            self.tx_counts.resize(seq + 1, 0);
+        }
+        let count = &mut self.tx_counts[seq];
         *count += 1;
         self.stats.segments_sent += 1;
         if t.is_retransmit {
@@ -234,9 +247,9 @@ impl<S: TcpSenderAlgo + 'static> Agent for SenderHost<S> {
         match self.algo.pacing_rate() {
             Some(rate) => self.release_paced(ctx, rate),
             None => {
-                for t in self.pacer.drain() {
-                    self.send_segment(ctx, t);
-                }
+                let mut batch = std::mem::take(&mut self.batch);
+                self.pacer.drain(&mut batch);
+                self.send_batch(ctx, batch);
             }
         }
     }

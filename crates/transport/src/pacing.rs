@@ -38,7 +38,9 @@ const MIN_RATE: f64 = 1e-3;
 /// p.enqueue(Transmission { seq: 1, is_retransmit: false });
 /// // 100 segments/s → one segment now, the next due 10 ms later.
 /// let now = SimTime::from_secs_f64(1.0);
-/// assert_eq!(p.release_due(now, 100.0).len(), 1);
+/// let mut due = Vec::new();
+/// assert_eq!(p.release_due(now, 100.0, &mut due), 1);
+/// assert_eq!(due, [Transmission { seq: 0, is_retransmit: false }]);
 /// assert_eq!(p.next_deadline(), Some(SimTime::from_secs_f64(1.010)));
 /// ```
 #[derive(Debug, Default)]
@@ -79,27 +81,29 @@ impl Pacer {
     }
 
     /// Releases every transmission due at `now` under `rate` (segments per
-    /// second), in FIFO order. Each release pushes the next release instant
-    /// `1/rate` past `max(now, previous release instant)`, so at most one
-    /// segment departs per distinct instant — a late timer never triggers a
+    /// second) onto the end of `out`, in FIFO order, and returns how many
+    /// were released. Each release pushes the next release instant `1/rate`
+    /// past `max(now, previous release instant)`, so at most one segment
+    /// departs per distinct instant — a late timer never triggers a
     /// catch-up burst.
-    pub fn release_due(&mut self, now: SimTime, rate: f64) -> Vec<Transmission> {
+    pub fn release_due(&mut self, now: SimTime, rate: f64, out: &mut Vec<Transmission>) -> usize {
         let interval = SimDuration::from_secs_f64(1.0 / rate.max(MIN_RATE));
-        let mut out = Vec::new();
-        while !self.queue.is_empty() && self.next_release <= now {
-            out.push(self.queue.pop_front().expect("checked non-empty"));
+        let before = out.len();
+        while self.next_release <= now {
+            let Some(t) = self.queue.pop_front() else { break };
+            out.push(t);
             self.released += 1;
             self.next_release = self.next_release.max(now) + interval;
         }
-        out
+        out.len() - before
     }
 
-    /// Releases everything immediately, ignoring the schedule (used when an
-    /// algorithm stops requesting pacing mid-flow).
-    pub fn drain(&mut self) -> Vec<Transmission> {
+    /// Releases everything onto the end of `out` immediately, ignoring the
+    /// schedule (used when an algorithm stops requesting pacing mid-flow).
+    pub fn drain(&mut self, out: &mut Vec<Transmission>) {
         obs::count("pacer.drained", self.queue.len() as u64);
         self.released += self.queue.len() as u64;
-        self.queue.drain(..).collect()
+        out.extend(self.queue.drain(..));
     }
 
     /// The instant the queue head may depart, or `None` if nothing waits.
@@ -120,6 +124,14 @@ mod tests {
         Transmission { seq, is_retransmit: false }
     }
 
+    /// `release_due` into a fresh buffer.
+    fn due(p: &mut Pacer, now: SimTime, rate: f64) -> Vec<Transmission> {
+        let mut out = Vec::new();
+        let n = p.release_due(now, rate, &mut out);
+        assert_eq!(n, out.len());
+        out
+    }
+
     #[test]
     fn releases_one_segment_per_interval() {
         let mut p = Pacer::new();
@@ -128,14 +140,14 @@ mod tests {
         }
         // 1000 segments/s → 1 ms spacing.
         let t0 = SimTime::from_secs_f64(0.5);
-        assert_eq!(p.release_due(t0, 1000.0), vec![tx(0)]);
+        assert_eq!(due(&mut p, t0, 1000.0), vec![tx(0)]);
         assert_eq!(p.next_deadline(), Some(t0 + SimDuration::from_millis(1)));
         // Nothing more is due before the deadline.
-        assert!(p.release_due(t0 + SimDuration::from_micros(500), 1000.0).is_empty());
+        assert!(due(&mut p, t0 + SimDuration::from_micros(500), 1000.0).is_empty());
         let t1 = t0 + SimDuration::from_millis(1);
-        assert_eq!(p.release_due(t1, 1000.0), vec![tx(1)]);
+        assert_eq!(due(&mut p, t1, 1000.0), vec![tx(1)]);
         let t2 = t1 + SimDuration::from_millis(1);
-        assert_eq!(p.release_due(t2, 1000.0), vec![tx(2)]);
+        assert_eq!(due(&mut p, t2, 1000.0), vec![tx(2)]);
         assert!(p.is_empty());
         assert_eq!(p.next_deadline(), None);
         assert_eq!(p.released(), 3);
@@ -145,12 +157,12 @@ mod tests {
     fn idle_restart_does_not_grant_a_burst() {
         let mut p = Pacer::new();
         p.enqueue(tx(0));
-        let _ = p.release_due(SimTime::from_secs_f64(1.0), 100.0);
+        let _ = due(&mut p, SimTime::from_secs_f64(1.0), 100.0);
         // Long idle gap, then two segments arrive: only one may go now.
         p.enqueue(tx(1));
         p.enqueue(tx(2));
         let late = SimTime::from_secs_f64(5.0);
-        assert_eq!(p.release_due(late, 100.0), vec![tx(1)]);
+        assert_eq!(due(&mut p, late, 100.0), vec![tx(1)]);
         assert_eq!(p.next_deadline(), Some(late + SimDuration::from_millis(10)));
     }
 
@@ -161,10 +173,10 @@ mod tests {
             p.enqueue(tx(seq));
         }
         let t0 = SimTime::from_secs_f64(0.0);
-        let _ = p.release_due(t0, 1000.0);
+        let _ = due(&mut p, t0, 1000.0);
         // The caller shows up 10 intervals late; still one segment only.
         let late = t0 + SimDuration::from_millis(10);
-        assert_eq!(p.release_due(late, 1000.0).len(), 1);
+        assert_eq!(due(&mut p, late, 1000.0).len(), 1);
     }
 
     #[test]
@@ -174,10 +186,10 @@ mod tests {
             p.enqueue(tx(seq));
         }
         let t0 = SimTime::from_secs_f64(0.0);
-        let _ = p.release_due(t0, 1000.0); // 1 ms spacing
+        let _ = due(&mut p, t0, 1000.0); // 1 ms spacing
         assert_eq!(p.next_deadline(), Some(t0 + SimDuration::from_millis(1)));
         let t1 = t0 + SimDuration::from_millis(1);
-        let _ = p.release_due(t1, 100.0); // next gap would be 10 ms
+        let _ = due(&mut p, t1, 100.0); // next gap would be 10 ms
         assert!(p.is_empty());
     }
 
@@ -187,7 +199,9 @@ mod tests {
         for seq in 0..5 {
             p.enqueue(tx(seq));
         }
-        assert_eq!(p.drain().len(), 5);
+        let mut out = vec![tx(9)];
+        p.drain(&mut out);
+        assert_eq!(out, [9, 0, 1, 2, 3, 4].map(tx), "drain appends in FIFO order");
         assert!(p.is_empty());
         assert_eq!(p.released(), 5);
     }
@@ -198,7 +212,7 @@ mod tests {
         p.enqueue(tx(0));
         // A zero rate must not panic or divide by zero; the clamp yields a
         // very long (but finite) interval.
-        let out = p.release_due(SimTime::from_secs_f64(1.0), 0.0);
+        let out = due(&mut p, SimTime::from_secs_f64(1.0), 0.0);
         assert_eq!(out.len(), 1);
         assert!(p.is_empty());
     }

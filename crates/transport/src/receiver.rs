@@ -6,7 +6,7 @@
 //! optionally attaches SACK blocks (RFC 2018) and reports duplicate
 //! arrivals via DSACK (RFC 2883).
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
 /// Receiver feature switches.
 #[derive(Debug, Clone, Copy)]
@@ -97,8 +97,11 @@ impl ReceiverStats {
 pub struct TcpReceiver {
     cfg: ReceiverConfig,
     rcv_nxt: u64,
-    /// Out-of-order segments above `rcv_nxt`.
-    ooo: BTreeSet<u64>,
+    /// Out-of-order data above `rcv_nxt` as maximal blocks `start → end`
+    /// (half-open): no two blocks touch, and none starts at `rcv_nxt`.
+    ooo: BTreeMap<u64, u64>,
+    /// Segments held in `ooo`.
+    buffered: usize,
     stats: ReceiverStats,
     max_seen: Option<u64>,
 }
@@ -109,7 +112,8 @@ impl TcpReceiver {
         TcpReceiver {
             cfg,
             rcv_nxt: 0,
-            ooo: BTreeSet::new(),
+            ooo: BTreeMap::new(),
+            buffered: 0,
             stats: ReceiverStats::default(),
             max_seen: None,
         }
@@ -122,7 +126,7 @@ impl TcpReceiver {
 
     /// Number of segments currently buffered out of order.
     pub fn buffered(&self) -> usize {
-        self.ooo.len()
+        self.buffered
     }
 
     /// Arrival statistics.
@@ -136,7 +140,7 @@ impl TcpReceiver {
         let old_nxt = self.rcv_nxt;
         let mut dsack = None;
 
-        let is_duplicate = seq < self.rcv_nxt || self.ooo.contains(&seq);
+        let is_duplicate = seq < self.rcv_nxt || self.block_containing(seq).is_some();
         if is_duplicate {
             self.stats.duplicates += 1;
             if self.cfg.dsack {
@@ -156,11 +160,12 @@ impl TcpReceiver {
             }
             if seq == self.rcv_nxt {
                 self.rcv_nxt += 1;
-                while self.ooo.remove(&self.rcv_nxt) {
-                    self.rcv_nxt += 1;
+                if let Some(end) = self.ooo.remove(&self.rcv_nxt) {
+                    self.buffered -= (end - self.rcv_nxt) as usize;
+                    self.rcv_nxt = end;
                 }
             } else {
-                self.ooo.insert(seq);
+                self.insert_ooo(seq);
             }
         }
 
@@ -168,35 +173,39 @@ impl TcpReceiver {
         AckDescriptor { cum_ack: self.rcv_nxt, sack, dsack, dup: self.rcv_nxt == old_nxt }
     }
 
-    /// Builds SACK blocks from the out-of-order buffer: the block containing
-    /// the triggering segment first (RFC 2018), then the remaining blocks
-    /// from highest to lowest.
-    fn sack_blocks(&self, trigger: u64) -> Vec<(u64, u64)> {
-        if self.ooo.is_empty() {
-            return Vec::new();
-        }
-        let mut ranges: Vec<(u64, u64)> = Vec::new();
-        let mut iter = self.ooo.iter().copied();
-        let first = iter.next().expect("non-empty");
-        let mut cur = (first, first + 1);
-        for s in iter {
-            if s == cur.1 {
-                cur.1 = s + 1;
-            } else {
-                ranges.push(cur);
-                cur = (s, s + 1);
+    /// The out-of-order block holding `seq`, if any.
+    fn block_containing(&self, seq: u64) -> Option<(u64, u64)> {
+        let (&start, &end) = self.ooo.range(..=seq).next_back()?;
+        (seq < end).then_some((start, end))
+    }
+
+    /// Buffers a new segment `seq > rcv_nxt`, merging it with the blocks
+    /// that end at `seq` and start at `seq + 1`.
+    fn insert_ooo(&mut self, seq: u64) {
+        self.buffered += 1;
+        let end = self.ooo.remove(&(seq + 1)).unwrap_or(seq + 1);
+        match self.ooo.range_mut(..seq).next_back() {
+            Some((_, prev_end)) if *prev_end == seq => *prev_end = end,
+            _ => {
+                self.ooo.insert(seq, end);
             }
         }
-        ranges.push(cur);
+    }
 
-        // Most recent (triggering) block first, rest highest-first.
-        ranges.sort_by_key(|r| std::cmp::Reverse(r.0));
-        if let Some(pos) = ranges.iter().position(|r| r.0 <= trigger && trigger < r.1) {
-            let hit = ranges.remove(pos);
-            ranges.insert(0, hit);
+    /// Builds SACK blocks from the out-of-order buffer: the block containing
+    /// the triggering segment first (RFC 2018), then the remaining blocks
+    /// from highest to lowest, at most `max_sack_blocks` in all.
+    fn sack_blocks(&self, trigger: u64) -> Vec<(u64, u64)> {
+        let max = self.cfg.max_sack_blocks.min(self.ooo.len());
+        if max == 0 {
+            return Vec::new();
         }
-        ranges.truncate(self.cfg.max_sack_blocks);
-        ranges
+        let mut blocks = Vec::with_capacity(max);
+        let hit = self.block_containing(trigger);
+        blocks.extend(hit);
+        let rest = self.ooo.iter().rev().map(|(&start, &end)| (start, end));
+        blocks.extend(rest.filter(|&b| Some(b) != hit).take(max - blocks.len()));
+        blocks
     }
 }
 
