@@ -101,11 +101,6 @@ pub fn run_ablation(ablation: Ablation, plan: MeasurePlan, seed: u64) -> Ablatio
     }
 }
 
-/// Runs all ablations and renders a comparison table.
-pub fn run_all(plan: MeasurePlan, seed: u64) -> Vec<AblationResult> {
-    Ablation::ALL.iter().map(|&a| run_ablation(a, plan, seed)).collect()
-}
-
 /// Text table over ablation results.
 pub fn format_table(results: &[AblationResult]) -> String {
     let mut s = String::from("TCP-PR ablations (single flow, congested dumbbell)\n");
@@ -125,7 +120,11 @@ pub fn format_table(results: &[AblationResult]) -> String {
 
 #[cfg(test)]
 mod tests {
+    use serde::Value;
+
     use super::*;
+    use crate::sweep::grids::assemble_fresh;
+    use crate::sweep::{PlanSpec, ScenarioKind, ScenarioSpec};
 
     #[test]
     fn memorize_prevents_per_packet_halvings() {
@@ -148,10 +147,17 @@ mod tests {
 
     #[test]
     fn ablation_table_renders() {
-        let plan = MeasurePlan::quick();
-        let rows = run_all(plan, 5);
+        let specs: Vec<ScenarioSpec> = Ablation::ALL
+            .iter()
+            .map(|&ablation| {
+                ScenarioSpec::new(ScenarioKind::Ablation { ablation }, PlanSpec::Quick)
+            })
+            .collect();
+        let (t, results) = assemble_fresh("ablations", &specs);
+        let Value::Array(rows) = results else { panic!("rows array") };
+        let rows: Vec<AblationResult> =
+            rows.iter().map(|r| crate::sweep::decode::ablation_result(r).unwrap()).collect();
         assert_eq!(rows.len(), 4);
-        let t = format_table(&rows);
         assert!(t.contains("full algorithm"));
         assert!(t.contains("no memorize"));
         // The full algorithm should be the best or tied.

@@ -3,10 +3,9 @@
 //! ```text
 //! cargo run -p experiments --bin repro --release -- \
 //!     [fig2|fig3|fig4|fig6|faceoff|ablations|ext|stress|stress-smoke|cc-smoke| \
-//!      scale|scale-smoke|bench-sweep|all] \
-//!     [profile [selector…]] [bench-check] \
-//!     [--quick] [--jobs N] [--resume] [--no-cache] [--telemetry-dir <dir>] \
-//!     [--trajectory <path>] [--threshold-pct <pct>] [--list]
+//!      scale|scale-smoke|all] \
+//!     [profile [selector…]] \
+//!     [--quick] [--jobs N] [--resume] [--no-cache] [--telemetry-dir <dir>] [--list]
 //! ```
 //!
 //! Every requested figure is expanded into a grid of scenario specs and the
@@ -22,21 +21,16 @@
 //! peak event-heap size, dropped trace records); wall-clock performance is
 //! reported on stderr. With `--telemetry-dir <dir>`, the fig2 run
 //! additionally streams a complete JSONL packet trace of its first TCP-PR
-//! flow into `<dir>`. The `bench-sweep` selector times a serial vs parallel
-//! quick sweep, writes the latest run to `results/bench_sweep.json`, and
-//! appends it to the top-level `BENCH_sweep.json` perf trajectory.
+//! flow into `<dir>`.
 //!
 //! The `scale` selector (opt-in, like `ext`) runs the internet-scale
 //! workload grid — generated fat-tree topologies carrying Poisson flow
 //! churn with heavy-tailed sizes, up to 10k concurrent flows per variant —
 //! and writes `results/scale.json` with population fairness / FCT metrics.
-//! A plain (non-`--resume`) `repro scale` run also appends a
-//! `workload: "scale"` events/sec entry to the `BENCH_sweep.json`
-//! trajectory, so `bench-check` gates scale-run performance separately from
-//! the classic bench-sweep timing. `scale-smoke` is its tiny CI-sized
-//! sibling (fat-tree *and* AS-graph topologies at 120 flows).
+//! `scale-smoke` is its tiny CI-sized sibling (fat-tree *and* AS-graph
+//! topologies at 120 flows).
 //!
-//! Three further commands run *instead of* the figure grids:
+//! Four further commands run *instead of* the figure grids:
 //!
 //! - `repro profile [selector…]` re-runs the named grids (default `fig6`)
 //!   with the `obs` profiler enabled and writes `results/profile.json` —
@@ -44,11 +38,6 @@
 //!   state-machine spans in a deterministic section, wall-clock dispatch
 //!   cost in a clearly marked non-deterministic section. Profile runs
 //!   bypass the sweep cache (a cache hit executes nothing to profile).
-//! - `repro bench-check [--trajectory <path>] [--threshold-pct <pct>]
-//!   [--min-entries <n>]` compares the last two entries of the perf
-//!   trajectory and exits non-zero when serial events/sec regressed more
-//!   than the threshold (default 20%); below `--min-entries` entries the
-//!   gate passes without comparing.
 //! - `repro hunt [--budget <evals>] [--objective goodput|fairness|oracle]
 //!   [--variant <name>] [--seed <n>] [--jobs N]` runs the adversarial
 //!   schedule search ([`experiments::hunt`]): seeded hill-climbing over
@@ -71,7 +60,6 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
-use experiments::bench;
 use experiments::explain;
 use experiments::hunt;
 use experiments::sweep::grids::{all_figures, selectors, FigureGrid};
@@ -90,9 +78,6 @@ struct Cli {
     jobs: usize,
     resume: bool,
     no_cache: bool,
-    trajectory: Option<PathBuf>,
-    threshold_pct: f64,
-    min_entries: usize,
     budget: u64,
     seed: u64,
     objective: String,
@@ -111,9 +96,6 @@ fn parse_args() -> Cli {
         jobs: default_jobs(),
         resume: false,
         no_cache: false,
-        trajectory: None,
-        threshold_pct: experiments::bench::DEFAULT_THRESHOLD_PCT,
-        min_entries: 2,
         budget: 200,
         seed: 1,
         objective: "goodput".to_owned(),
@@ -140,27 +122,6 @@ fn parse_args() -> Cli {
                 Some(dir) => cli.telemetry_dir = Some(PathBuf::from(dir)),
                 None => {
                     eprintln!("error: --telemetry-dir needs a directory argument");
-                    exit(2);
-                }
-            },
-            "--trajectory" => match args.next() {
-                Some(path) => cli.trajectory = Some(PathBuf::from(path)),
-                None => {
-                    eprintln!("error: --trajectory needs a file argument");
-                    exit(2);
-                }
-            },
-            "--threshold-pct" => match args.next().and_then(|n| n.parse::<f64>().ok()) {
-                Some(pct) if pct >= 0.0 && pct.is_finite() => cli.threshold_pct = pct,
-                _ => {
-                    eprintln!("error: --threshold-pct needs a non-negative percentage");
-                    exit(2);
-                }
-            },
-            "--min-entries" => match args.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) => cli.min_entries = n,
-                None => {
-                    eprintln!("error: --min-entries needs a count");
                     exit(2);
                 }
             },
@@ -209,13 +170,7 @@ fn parse_args() -> Cli {
         cli.which.iter().any(|w| w == "explain") || cli.which.iter().any(|w| w == "replay");
     if !file_command {
         for w in &cli.which {
-            if w != "all"
-                && w != "bench-sweep"
-                && w != "profile"
-                && w != "bench-check"
-                && w != "hunt"
-                && !selectors().contains(&w.as_str())
-            {
+            if w != "all" && w != "profile" && w != "hunt" && !selectors().contains(&w.as_str()) {
                 eprintln!("error: unknown selector {w}");
                 print_listing();
                 exit(2);
@@ -245,10 +200,8 @@ fn print_listing() {
             grids.iter().map(|g| format!("results/{}.json", g.artifact)).collect();
         println!(" {mark}{:<14} {:>5}/{:<5}  {}", sel, qc, fc, artifacts.join(", "));
     }
-    println!(" {:<15} serial-vs-parallel sweep timing -> results/bench_sweep.json", "bench-sweep");
     println!(" {:<15} every selector marked *", "all");
     println!(" {:<15} profiled re-run of the named grids -> results/profile.json", "profile");
-    println!(" {:<15} perf-regression gate over BENCH_sweep.json", "bench-check");
     println!(" {:<15} adversarial schedule search -> results/hunt.json", "hunt");
     println!(" {:<15} counterexample post-mortem -> results/explain/<hash>.json", "explain <file>");
     println!(" {:<15} re-check a pinned counterexample still degrades", "replay <file…>");
@@ -285,19 +238,9 @@ fn sweep_options(cli: &Cli) -> SweepOptions {
     }
 }
 
-/// Throughput accounting of one figure sweep, for the perf trajectory.
-struct SweepStats {
-    scenarios: u64,
-    events: u64,
-    wall_s: f64,
-    events_per_sec: f64,
-    cached: usize,
-}
-
 /// Runs the requested figures as one sweep and renders each figure from
-/// its slice of the outcomes. Returns false (first element) if any
-/// scenario crashed, plus the sweep's throughput accounting.
-fn run_figures(figures: Vec<FigureGrid>, ctx: &ExecCtx, opts: &SweepOptions) -> (bool, SweepStats) {
+/// its slice of the outcomes. Returns false if any scenario crashed.
+fn run_figures(figures: Vec<FigureGrid>, ctx: &ExecCtx, opts: &SweepOptions) -> bool {
     let specs: Vec<_> = figures.iter().flat_map(|g| g.specs.iter().cloned()).collect();
     eprintln!(
         "[sweep] {} scenario(s) across {} artifact(s), {} worker(s)",
@@ -307,13 +250,6 @@ fn run_figures(figures: Vec<FigureGrid>, ctx: &ExecCtx, opts: &SweepOptions) -> 
     );
     let report = run_sweep(&specs, ctx, opts);
     eprintln!("[sweep] done: {}", report.summary());
-    let stats = SweepStats {
-        scenarios: specs.len() as u64,
-        events: report.events_executed,
-        wall_s: report.wall_s,
-        events_per_sec: report.events_per_sec(),
-        cached: report.cached,
-    };
 
     let mut ok = true;
     let mut offset = 0;
@@ -352,109 +288,7 @@ fn run_figures(figures: Vec<FigureGrid>, ctx: &ExecCtx, opts: &SweepOptions) -> 
             grid.artifact, work.events_processed, work.sims, work.peak_event_heap
         );
     }
-    (ok, stats)
-}
-
-/// Appends a `workload: "scale"` events/sec entry to the perf trajectory
-/// after a pure `repro scale` run, so `bench-check` gates scale-run
-/// performance. Skipped when any scenario came from the cache — a
-/// cache-satisfied run measures deserialization, not simulation.
-fn append_scale_bench(cli: &Cli, stats: &SweepStats) {
-    if stats.cached > 0 {
-        eprintln!(
-            "[scale] {} scenario(s) came from the cache — no trajectory entry recorded",
-            stats.cached
-        );
-        return;
-    }
-    let entry = bench::BenchEntry {
-        workload: bench::SCALE_WORKLOAD.to_owned(),
-        scenarios: stats.scenarios,
-        events: stats.events,
-        // One measured pass at `--jobs N`: the serial fields carry the
-        // measurement (that is what the gate reads) and the parallel
-        // fields record the worker count it ran with. Comparable entries
-        // therefore assume a consistent --jobs, which CI pins.
-        serial_wall_s: stats.wall_s,
-        serial_events_per_sec: stats.events_per_sec,
-        parallel_jobs: cli.jobs as u64,
-        parallel_wall_s: stats.wall_s,
-        parallel_events_per_sec: stats.events_per_sec,
-        speedup: 1.0,
-    };
-    let trajectory = Path::new(bench::TRAJECTORY_PATH);
-    match bench::append_entry(trajectory, serde::Serialize::to_value(&entry)) {
-        Ok(len) => eprintln!(
-            "[scale] trajectory entry {len} ({:.0} events/sec) appended -> {}",
-            stats.events_per_sec,
-            trajectory.display()
-        ),
-        Err(e) => {
-            eprintln!("error: {e}");
-            exit(1);
-        }
-    }
-}
-
-/// Times the same quick sweep serially and in parallel and records both in
-/// `results/bench_sweep.json`. Runs with the cache off so both passes
-/// measure real execution.
-fn run_bench_sweep(cli: &Cli, ctx: &ExecCtx) {
-    // A modest, fixed workload: the quick ablation and fig6 (10 ms) grids.
-    let grids: Vec<FigureGrid> = all_figures(true, false)
-        .into_iter()
-        .filter(|g| g.artifact == "ablations" || g.artifact == "fig6_10ms")
-        .collect();
-    let specs: Vec<_> = grids.iter().flat_map(|g| g.specs.iter().cloned()).collect();
-    let parallel_jobs = cli.jobs.max(2);
-    eprintln!(
-        "[bench-sweep] {} scenario(s): serial (1 worker) vs parallel ({parallel_jobs} workers)",
-        specs.len()
-    );
-
-    let base = SweepOptions {
-        jobs: 1,
-        cache: CachePolicy::Off,
-        cache_dir: DEFAULT_CACHE_DIR.into(),
-        progress: false,
-    };
-    let serial = run_sweep(&specs, ctx, &base);
-    let parallel = run_sweep(&specs, ctx, &SweepOptions { jobs: parallel_jobs, ..base });
-    assert_eq!(serial.crashed + parallel.crashed, 0, "bench scenarios must not crash");
-
-    let speedup = if parallel.wall_s > 0.0 { serial.wall_s / parallel.wall_s } else { 0.0 };
-    let entry = bench::BenchEntry {
-        workload: bench::SWEEP_WORKLOAD.to_owned(),
-        scenarios: specs.len() as u64,
-        events: serial.events_executed,
-        serial_wall_s: serial.wall_s,
-        serial_events_per_sec: serial.events_per_sec(),
-        parallel_jobs: parallel_jobs as u64,
-        parallel_wall_s: parallel.wall_s,
-        parallel_events_per_sec: parallel.events_per_sec(),
-        speedup,
-    };
-    // Latest run under results/ (regenerated wholesale); the full history
-    // lives only in the top-level trajectory (see `experiments::bench`).
-    let entry_value = serde::Serialize::to_value(&entry);
-    let path = Path::new("results/bench_sweep.json");
-    write_artifact_or_exit(path, &serde_json::to_string_pretty(&entry_value).expect("total"));
-    let trajectory = Path::new(bench::TRAJECTORY_PATH);
-    match bench::append_entry(trajectory, entry_value) {
-        Ok(len) => {
-            eprintln!("[bench-sweep] trajectory entry {len} appended -> {}", trajectory.display())
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            exit(1);
-        }
-    }
-    eprintln!(
-        "[bench-sweep] serial {:.1}s vs parallel {:.1}s — speedup {speedup:.2}x → {}",
-        serial.wall_s,
-        parallel.wall_s,
-        path.display()
-    );
+    ok
 }
 
 /// `repro profile`: re-runs the named figure grids (default `fig6`) with
@@ -546,68 +380,6 @@ fn run_profile(cli: &Cli, ctx: &ExecCtx) -> bool {
     eprintln!("[profile] done: {}", report.summary());
     eprintln!("[profile] artifact -> {}", path.display());
     true
-}
-
-/// `repro bench-check`: the perf-regression gate over the trajectory.
-/// Returns the process exit code.
-fn run_bench_check(cli: &Cli) -> i32 {
-    let default_path = PathBuf::from(bench::TRAJECTORY_PATH);
-    let path = cli.trajectory.as_deref().unwrap_or(&default_path);
-    let entries = match bench::load_trajectory(path) {
-        Ok(entries) => entries,
-        Err(e) => {
-            eprintln!("error: bench-check: {e}");
-            return 1;
-        }
-    };
-    if entries.len() < cli.min_entries {
-        println!(
-            "bench-check: {} has {} entr{}; below --min-entries {} — pass",
-            path.display(),
-            entries.len(),
-            if entries.len() == 1 { "y" } else { "ies" },
-            cli.min_entries
-        );
-        return 0;
-    }
-    match bench::check(&entries) {
-        Ok(None) => {
-            let workload = entries.last().map(bench::workload_of).unwrap_or(bench::SWEEP_WORKLOAD);
-            println!(
-                "bench-check: {} has {} entr{} but no earlier {workload:?} entry to compare — pass",
-                path.display(),
-                entries.len(),
-                if entries.len() == 1 { "y" } else { "ies" }
-            );
-            0
-        }
-        Ok(Some(delta)) => {
-            let workload = entries.last().map(bench::workload_of).unwrap_or(bench::SWEEP_WORKLOAD);
-            println!(
-                "bench-check: [{workload}] serial events/sec {:.0} -> {:.0} ({:+.1}%), \
-                 threshold -{:.1}%",
-                delta.previous,
-                delta.latest,
-                delta.delta_pct(),
-                cli.threshold_pct
-            );
-            if delta.regressed(cli.threshold_pct) {
-                eprintln!(
-                    "error: bench-check: events/sec regressed {:.1}% (> {:.1}% allowed)",
-                    -delta.delta_pct(),
-                    cli.threshold_pct
-                );
-                1
-            } else {
-                println!("bench-check: pass");
-                0
-            }
-        }
-        Err(e) => {
-            eprintln!("error: bench-check: {e}");
-            1
-        }
-    }
 }
 
 /// `repro hunt`: the adversarial search. Returns the process exit code.
@@ -742,13 +514,9 @@ fn run_replay_cmd(cli: &Cli) -> i32 {
 fn main() {
     let cli = parse_args();
 
-    // Standalone commands: the regression gate needs no sweep at all,
-    // `hunt` drives its own search loop, `explain` / `replay` consume the
-    // remaining positionals as counterexample files, and `profile` consumes
-    // them as its grid list.
-    if cli.which.iter().any(|w| w == "bench-check") {
-        exit(run_bench_check(&cli));
-    }
+    // Standalone commands: `hunt` drives its own search loop, `explain` /
+    // `replay` consume the remaining positionals as counterexample files,
+    // and `profile` consumes them as its grid list.
     if cli.which.iter().any(|w| w == "explain") {
         create_dir_or_exit(Path::new("results"), "results");
         exit(run_explain_cmd(&cli));
@@ -788,23 +556,7 @@ fn main() {
         })
         .collect();
 
-    let mut ok = true;
-    if !figures.is_empty() {
-        // A pure `repro scale` run doubles as the scale perf measurement:
-        // its events/sec lands in the trajectory (workload-tagged, so
-        // bench-check compares it only against other scale runs). Mixed
-        // selections are not recorded — the timing would not be comparable.
-        let scale_only = figures.iter().all(|g| g.selector == "scale");
-        let (figures_ok, stats) = run_figures(figures, &ctx, &sweep_options(&cli));
-        ok = figures_ok;
-        if ok && scale_only {
-            append_scale_bench(&cli, &stats);
-        }
-    }
-    if cli.which.iter().any(|w| w == "bench-sweep") {
-        run_bench_sweep(&cli, &ctx);
-    }
-    if !ok {
+    if !figures.is_empty() && !run_figures(figures, &ctx, &sweep_options(&cli)) {
         exit(1);
     }
 }

@@ -8,12 +8,6 @@
 //! range. Reproduction criteria: `mean_sack` noticeably above 1 at β = 1,
 //! and within a band around 1 for 1 < β ≤ 5.
 
-use tcp_pr::TcpPrConfig;
-
-use crate::figures::fairness::{run_fairness, FairnessParams, FairnessTopology};
-use crate::runner::MeasurePlan;
-use crate::topologies::{DumbbellConfig, ParkingLotConfig};
-
 /// α values swept (paper: 0–1 range).
 pub const ALPHAS: [f64; 5] = [0.05, 0.25, 0.5, 0.75, 0.995];
 
@@ -33,38 +27,6 @@ pub struct Fig4Cell {
     pub mean_sack: f64,
     /// TCP-PR mean normalized throughput (complementary).
     pub mean_pr: f64,
-}
-
-/// Runs the (α, β) grid with `n_flows` test flows (half PR, half SACK).
-pub fn run_figure4(
-    dumbbell_topology: bool,
-    alphas: &[f64],
-    betas: &[f64],
-    n_flows: usize,
-    plan: MeasurePlan,
-    seed: u64,
-) -> Vec<Fig4Cell> {
-    let mut cells = Vec::new();
-    for &alpha in alphas {
-        for &beta in betas {
-            let topology = if dumbbell_topology {
-                FairnessTopology::Dumbbell(DumbbellConfig::default())
-            } else {
-                FairnessTopology::ParkingLot(ParkingLotConfig::default())
-            };
-            let params =
-                FairnessParams { plan, seed, pr_config: TcpPrConfig::with_alpha_beta(alpha, beta) };
-            let r = run_fairness(topology, n_flows, &params);
-            cells.push(Fig4Cell {
-                topology: r.topology.clone(),
-                alpha,
-                beta,
-                mean_sack: r.mean_sack,
-                mean_pr: r.mean_pr,
-            });
-        }
-    }
-    cells
 }
 
 /// Renders the grid as a text matrix (rows α, columns β).
@@ -99,32 +61,49 @@ pub fn format_table(cells: &[Fig4Cell]) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use serde::Value;
+
+    use crate::sweep::decode::{as_f64, get};
+    use crate::sweep::grids::{assemble_fresh, fairness_spec};
+    use crate::sweep::{PlanSpec, TopologySpec};
+
+    /// The dumbbell (α, β) grid with `n_flows` test flows, assembled as
+    /// `repro fig4` assembles it.
+    fn run(alphas: &[f64], betas: &[f64], n_flows: usize) -> (String, Vec<Value>) {
+        let mut specs = Vec::new();
+        for &alpha in alphas {
+            for &beta in betas {
+                let t = TopologySpec::Dumbbell { bottleneck_mbps: None };
+                specs.push(fairness_spec(t, n_flows, alpha, beta, 0, PlanSpec::Quick));
+            }
+        }
+        let (table, results) = assemble_fresh("fig4_dumbbell", &specs);
+        let Value::Array(cells) = results else { panic!("cells array") };
+        (table, cells)
+    }
+
+    fn mean_sack_at_beta(cells: &[Value], beta: f64) -> f64 {
+        let cell = cells.iter().find(|c| get(c, "beta").and_then(as_f64) == Some(beta)).unwrap();
+        get(cell, "mean_sack").and_then(as_f64).unwrap()
+    }
 
     #[test]
     fn beta_one_favors_sack_beta_three_is_fair() {
-        let cells = run_figure4(true, &[0.995], &[1.0, 3.0], 8, MeasurePlan::quick(), 31);
-        let at_beta1 = cells.iter().find(|c| c.beta == 1.0).unwrap();
-        let at_beta3 = cells.iter().find(|c| c.beta == 3.0).unwrap();
+        let (_, cells) = run(&[0.995], &[1.0, 3.0], 8);
+        let at_beta1 = mean_sack_at_beta(&cells, 1.0);
+        let at_beta3 = mean_sack_at_beta(&cells, 3.0);
         // β = 1: the PR drop threshold equals ewrtt, so queueing-induced RTT
         // growth fires spurious drops and SACK wins share.
         assert!(
-            at_beta1.mean_sack > at_beta3.mean_sack,
-            "β=1 sack share ({}) should exceed β=3 share ({})",
-            at_beta1.mean_sack,
-            at_beta3.mean_sack
+            at_beta1 > at_beta3,
+            "β=1 sack share ({at_beta1}) should exceed β=3 share ({at_beta3})"
         );
-        assert!(
-            at_beta3.mean_sack > 0.6 && at_beta3.mean_sack < 1.4,
-            "β=3 near parity, got {}",
-            at_beta3.mean_sack
-        );
+        assert!(at_beta3 > 0.6 && at_beta3 < 1.4, "β=3 near parity, got {at_beta3}");
     }
 
     #[test]
     fn table_renders_grid() {
-        let cells = run_figure4(true, &[0.5, 0.995], &[3.0], 4, MeasurePlan::quick(), 7);
-        let t = format_table(&cells);
+        let (t, _) = run(&[0.5, 0.995], &[3.0], 4);
         assert!(t.contains("0.500") && t.contains("0.995"));
     }
 }

@@ -91,24 +91,6 @@ pub fn run_multipath_point(
     }
 }
 
-/// Runs the full Figure 6 panel for one link delay.
-pub fn run_figure6(
-    link_delay_ms: u64,
-    variants: &[Variant],
-    epsilons: &[f64],
-    plan: MeasurePlan,
-    seed: u64,
-) -> Vec<Fig6Point> {
-    let mesh_cfg = MeshConfig { link_delay_ms, ..MeshConfig::default() };
-    let mut out = Vec::new();
-    for &variant in variants {
-        for &eps in epsilons {
-            out.push(run_multipath_point(variant, eps, mesh_cfg, plan, seed));
-        }
-    }
-    out
-}
-
 /// Renders a panel as the paper-style grouped table (rows protocols,
 /// columns ε).
 pub fn format_table(points: &[Fig6Point]) -> String {
@@ -146,6 +128,8 @@ pub fn format_table(points: &[Fig6Point]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::grids::assemble_fresh;
+    use crate::sweep::{PlanSpec, ScenarioKind, ScenarioSpec};
 
     #[test]
     fn single_path_all_variants_healthy() {
@@ -184,14 +168,14 @@ mod tests {
 
     #[test]
     fn table_contains_all_variants() {
-        let pts = run_figure6(
-            10,
-            &[Variant::TcpPr, Variant::TdFr],
-            &[0.0, 500.0],
-            MeasurePlan::quick(),
-            1,
-        );
-        let t = format_table(&pts);
+        let mut specs = Vec::new();
+        for variant in [Variant::TcpPr, Variant::TdFr] {
+            for epsilon in [0.0, 500.0] {
+                let kind = ScenarioKind::Multipath { variant, epsilon, link_delay_ms: 10 };
+                specs.push(ScenarioSpec::new(kind, PlanSpec::Quick));
+            }
+        }
+        let (t, _) = assemble_fresh("fig6_10ms", &specs);
         assert!(t.contains("TCP-PR") && t.contains("TD-FR"));
     }
 }

@@ -10,16 +10,22 @@
 //!   (Section 4 formulas), plus Jain fairness as an extension;
 //! - [`variants`]: a factory over every sender variant;
 //! - [`runner`]: warm-up/measure windows ("data sent during the last 60 s");
-//! - [`figures`]: one harness per figure (2, 3, 4 and 6);
+//! - [`figures`]: per-figure result types and paper-style tables (2, 3, 4
+//!   and 6), plus the one-cell fairness and multipath harnesses;
+//! - [`ablations`]: TCP-PR with one mechanism removed, one cell per
+//!   ablation;
 //! - [`sweep`]: the deterministic parallel sweep engine (scenario specs,
-//!   worker pool, content-addressed result cache);
+//!   worker pool, content-addressed result cache) and, in
+//!   [`sweep::grids`], the one path that turns every figure into cells
+//!   and assembles its table and `results/*.json` payload;
 //! - [`stress`]: the impairment stress suite over `netsim::impair`
 //!   (burst loss, jitter, duplication, link flaps, oscillating capacity);
 //! - [`scale`]: the Internet-scale population harness over
 //!   `crates/workload` (generated topologies, heavy-tailed flow churn at
 //!   10k+ concurrent flows, streaming population metrics);
-//! - [`telemetry`]: run-health blocks ([`FigureTimer`](telemetry::FigureTimer))
-//!   and the `results/*.json` artifact wrapper.
+//! - [`telemetry`]: the `results/*.json` artifact wrapper, which embeds
+//!   the deterministic `run_health` block
+//!   ([`SessionStats`](netsim::telemetry::SessionStats)).
 //!
 //! The `repro` binary (`cargo run -p experiments --bin repro --release`)
 //! runs every figure at paper scale and prints the tables recorded in
@@ -49,7 +55,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod ablations;
-pub mod bench;
 pub mod explain;
 pub mod figures;
 pub mod hunt;

@@ -83,7 +83,21 @@ pub fn selectors() -> Vec<&'static str> {
     names
 }
 
-fn fairness_spec(
+/// Executes `specs` one by one on this thread and folds the outcomes with
+/// the named artifact's assembler: the `repro` grid path without the worker
+/// pool and cache, for unit tests over hand-picked cells.
+#[cfg(test)]
+pub(crate) fn assemble_fresh(artifact: &str, specs: &[ScenarioSpec]) -> (String, Value) {
+    let grid = all_figures(true, false)
+        .into_iter()
+        .find(|g| g.artifact == artifact)
+        .unwrap_or_else(|| panic!("no grid writes results/{artifact}.json"));
+    let ctx = crate::sweep::exec::ExecCtx::default();
+    let outcomes: Vec<Value> = specs.iter().map(|s| crate::sweep::exec::execute(s, &ctx)).collect();
+    (grid.assemble)(specs, &outcomes)
+}
+
+pub(crate) fn fairness_spec(
     topology: TopologySpec,
     n_flows: usize,
     alpha: f64,
@@ -844,16 +858,28 @@ mod tests {
 
     #[test]
     fn fig2_assembles_series_per_topology() {
-        let plan = PlanSpec::Quick;
-        let grid = fig2_grid(true, plan, false);
-        let outcomes: Vec<Value> = grid
-            .specs
-            .iter()
-            .map(|s| crate::sweep::exec::execute(s, &crate::sweep::exec::ExecCtx::default()))
-            .collect();
-        let (table, results) = (grid.assemble)(&grid.specs, &outcomes);
+        let grid = fig2_grid(true, PlanSpec::Quick, false);
+        let (table, results) = assemble_fresh("fig2", &grid.specs);
         assert!(table.contains("dumbbell") && table.contains("parking-lot"));
         let Value::Array(series) = &results else { panic!("series array") };
         assert_eq!(series.len(), 2, "one series per topology");
+        for set in series {
+            let topology = decode::get(set, "topology").and_then(decode::as_str).unwrap();
+            let Some(Value::Array(rows)) = decode::get(set, "rows") else { panic!("rows array") };
+            for row in rows.iter().map(decode_fairness) {
+                // Shape criterion: both means near 1 (loose band for the
+                // quick plan).
+                assert!(
+                    row.mean_pr > 0.4 && row.mean_pr < 1.6,
+                    "{topology}: mean_pr = {}",
+                    row.mean_pr
+                );
+                assert!(
+                    row.mean_sack > 0.4 && row.mean_sack < 1.6,
+                    "{topology}: mean_sack = {}",
+                    row.mean_sack
+                );
+            }
+        }
     }
 }

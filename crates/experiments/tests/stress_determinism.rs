@@ -6,7 +6,9 @@
 //!    count;
 //! 2. the artifact's `run_health` block carries nonzero impairment
 //!    counters (wire drops, duplicates, reorder displacements, flaps);
-//! 3. `repro --list` prints the selector table instead of erroring.
+//! 3. `repro --list` prints the selector table instead of erroring, and
+//!    the retired `bench-sweep` / `bench-check` commands are gone from it
+//!    and rejected as unknown selectors.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -86,12 +88,19 @@ fn stress_sweep_is_byte_identical_across_jobs_and_counts_impairments() {
 fn list_flag_prints_selectors_without_running() {
     let dir = scratch("list");
     let (stdout, _) = repro(&dir, &["--list"]);
-    for token in
-        ["fig2", "ablations", "stress", "stress-smoke", "faceoff", "cc-smoke", "bench-sweep", "all"]
-    {
+    for token in ["fig2", "ablations", "stress", "stress-smoke", "faceoff", "cc-smoke", "all"] {
         assert!(stdout.contains(token), "--list must mention {token}:\n{stdout}");
     }
     assert!(stdout.contains("results/stress.json"), "{stdout}");
+    for retired in ["bench-sweep", "bench-check"] {
+        assert!(!stdout.contains(retired), "--list must not mention {retired}:\n{stdout}");
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .current_dir(&dir)
+            .arg(retired)
+            .output()
+            .expect("run repro");
+        assert_eq!(out.status.code(), Some(2), "{retired} must be an unknown selector");
+    }
     assert!(!dir.join("results").exists(), "--list must not execute anything");
     fs::remove_dir_all(&dir).ok();
 }

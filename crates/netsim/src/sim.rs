@@ -339,20 +339,22 @@ impl Simulator {
     }
 
     fn trace_packet(&mut self, packet: &Packet, kind: TraceEventKind) {
+        if self.tracer.is_some() {
+            self.trace_keyed(TraceKey::of(packet), kind);
+        }
+    }
+
+    fn trace_keyed(&mut self, key: TraceKey, kind: TraceEventKind) {
         let Some(tracer) = &mut self.tracer else { return };
-        if !tracer.wants(packet.flow) {
+        if !tracer.wants(key.flow) {
             return;
         }
-        let (seq, is_ack) = match &packet.kind {
-            PacketKind::Data(h) => (Some(h.seq), false),
-            PacketKind::Ack(_) => (None, true),
-        };
         tracer.record(TraceRecord {
             at: self.now,
-            uid: packet.uid,
-            flow: packet.flow,
-            seq,
-            is_ack,
+            uid: key.uid,
+            flow: key.flow,
+            seq: key.seq,
+            is_ack: key.is_ack,
             kind,
         });
     }
@@ -453,7 +455,7 @@ impl Simulator {
     }
 
     /// Starts the simulation: invokes every agent's `on_start` at time zero.
-    /// Called automatically by the `run_*` methods if needed.
+    /// Called automatically by [`Simulator::run_until`] if needed.
     pub fn start(&mut self) {
         if self.started {
             return;
@@ -492,25 +494,6 @@ impl Simulator {
     /// Runs for `d` beyond the current clock.
     pub fn run_for(&mut self, d: SimDuration) {
         self.run_until(self.now + d);
-    }
-
-    /// Runs until no events remain (natural quiescence). Returns the final
-    /// clock value.
-    ///
-    /// Use with care: long-lived senders reschedule timers forever; prefer
-    /// [`Simulator::run_until`] for such workloads.
-    pub fn run_to_quiescence(&mut self) -> SimTime {
-        self.start();
-        while let Some((at, kind)) = self.events.pop() {
-            if at < self.now {
-                self.stats.time_regressions += 1;
-            } else {
-                self.now = at;
-            }
-            self.stats.events += 1;
-            self.dispatch_profiled(kind);
-        }
-        self.now
     }
 
     /// Dispatches one event, reporting to the profiler when it is enabled:
@@ -663,27 +646,23 @@ impl Simulator {
             None => false,
         };
         let uniform = self.rng.gen::<f64>();
-        if self.tracer.is_some() {
-            // Pre-compute the outcome's trace before the packet moves.
-            let link = &self.links[id.index()];
-            let queue =
-                if use_high { link.queue_high.as_ref().expect("high queue") } else { &link.queue };
-            let will_fit = match &link.config.policy {
-                crate::queue::QueuePolicy::DropTail => queue.len() < queue.capacity_packets(),
-                // RED's decision is probabilistic; re-deriving it here would
-                // double-consume randomness, so optimistically trace Enqueued.
-                crate::queue::QueuePolicy::Red { .. } => true,
-            };
-            let kind =
-                if will_fit { TraceEventKind::Enqueued(id) } else { TraceEventKind::QueueDrop(id) };
-            self.trace_packet(&packet, kind);
-        }
+        // The queue takes the packet, and only its verdict says how to trace
+        // it, so the record's packet fields are kept beforehand.
+        let traced = self.tracer.is_some().then(|| TraceKey::of(&packet));
         let link = &mut self.links[id.index()];
         let queue =
             if use_high { link.queue_high.as_mut().expect("high queue") } else { &mut link.queue };
-        match queue.enqueue(packet, uniform) {
+        let outcome = queue.enqueue(packet, uniform);
+        if let Some(key) = traced {
+            let kind = match outcome {
+                EnqueueOutcome::Enqueued => TraceEventKind::Enqueued(id),
+                EnqueueOutcome::Dropped => TraceEventKind::QueueDrop(id),
+            };
+            self.trace_keyed(key, kind);
+        }
+        match outcome {
             EnqueueOutcome::Enqueued => {
-                if !link.busy {
+                if !self.links[id.index()].busy {
                     self.link_try_transmit(id);
                 }
             }
@@ -872,6 +851,25 @@ enum AgentCall {
     Packet(Packet),
     Timer,
     AuxTimer,
+}
+
+/// The packet fields a [`TraceRecord`] names.
+#[derive(Clone, Copy)]
+struct TraceKey {
+    uid: u64,
+    flow: FlowId,
+    seq: Option<u64>,
+    is_ack: bool,
+}
+
+impl TraceKey {
+    fn of(packet: &Packet) -> Self {
+        let (seq, is_ack) = match &packet.kind {
+            PacketKind::Data(h) => (Some(h.seq), false),
+            PacketKind::Ack(_) => (None, true),
+        };
+        TraceKey { uid: packet.uid, flow: packet.flow, seq, is_ack }
+    }
 }
 
 #[cfg(test)]
@@ -1319,6 +1317,50 @@ mod tests {
             .filter(|r| matches!(r.kind, TraceEventKind::Delivered(_)) && !r.is_ack)
             .count();
         assert_eq!(dropped_then_delivered, 3);
+    }
+
+    #[test]
+    fn red_drops_are_traced_and_every_packet_ends_once() {
+        use crate::queue::QueuePolicy;
+        let mut b = SimBuilder::new(1);
+        let a = b.add_node();
+        let c = b.add_node();
+        // A 30-packet burst at t = 0 fills the queue past max_thresh, so RED
+        // drops arrivals both probabilistically and outright.
+        let mut red = LinkConfig::mbps_ms(1.0, 10, 50);
+        red.policy = QueuePolicy::Red { min_thresh: 2, max_thresh: 6, max_prob: 1.0 };
+        b.add_link(a, c, red);
+        b.add_link(c, a, LinkConfig::mbps_ms(1.0, 10, 50));
+        let mut sim = b.build();
+        sim.enable_trace(&[], 10_000);
+        let flow = FlowId::from_raw(0);
+        sim.add_agent(a, flow, Box::new(Blaster { dst: c, count: 30, acked: Vec::new() }));
+        sim.add_agent(c, flow, Box::new(Echo { peer: a, received: Vec::new() }));
+        sim.run_until(SimTime::from_secs_f64(2.0));
+        assert!(sim.queue_depths().iter().all(|&d| d == 0), "the burst has drained");
+
+        let records = sim.trace_records();
+        let drops = records.iter().filter(|r| matches!(r.kind, TraceEventKind::QueueDrop(_)));
+        assert!(sim.stats().queue_drops > 0, "the burst must cross max_thresh");
+        assert_eq!(drops.count() as u64, sim.stats().queue_drops, "every RED drop is traced");
+        let mut fates: std::collections::BTreeMap<u64, Vec<TraceEventKind>> = Default::default();
+        for r in &records {
+            fates.entry(r.uid).or_default().push(r.kind);
+        }
+        let terminal = |k: &TraceEventKind| {
+            matches!(
+                k,
+                TraceEventKind::Delivered(_)
+                    | TraceEventKind::QueueDrop(_)
+                    | TraceEventKind::RandomLoss(_)
+                    | TraceEventKind::ImpairDrop(_)
+                    | TraceEventKind::NoRoute
+            )
+        };
+        for (uid, kinds) in &fates {
+            assert_eq!(kinds.iter().filter(|k| terminal(k)).count(), 1, "uid {uid}: {kinds:?}");
+            assert!(kinds.last().is_some_and(terminal), "uid {uid} ends terminal: {kinds:?}");
+        }
     }
 
     #[test]

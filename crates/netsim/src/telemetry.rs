@@ -7,10 +7,10 @@
 //!   drive the simulation through [`Sampler::advance`]; each probe is
 //!   evaluated every `period` of *simulated* time and accumulates a
 //!   [`TimeSeries`].
-//! - [`RunHealth`] + the [`session`] accumulator — cheap "did this run
+//! - [`SessionStats`] + the [`session`] accumulator — cheap "did this run
 //!   behave?" metadata (events processed, peak event-heap size, dropped
 //!   trace records) aggregated across every [`Simulator`] dropped since the
-//!   last [`session::reset`], so a multi-simulation experiment gets one
+//!   last [`session::take`], so a multi-simulation experiment gets one
 //!   health block without threading counters through every layer.
 
 use std::cell::RefCell;
@@ -171,7 +171,7 @@ impl Sampler {
 }
 
 /// Totals absorbed from every [`Simulator`] dropped since the last
-/// [`session::reset`].
+/// [`session::take`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct SessionStats {
     /// Simulators accounted for.
@@ -229,9 +229,9 @@ impl SessionStats {
 }
 
 /// Thread-local accumulator fed automatically when a [`Simulator`] is
-/// dropped. Reset it before a unit of work, snapshot it after, and the
-/// difference is that unit's cost — no plumbing through intermediate
-/// layers required.
+/// dropped. Take it before a unit of work and again after, and the second
+/// take is that unit's cost — no plumbing through intermediate layers
+/// required.
 pub mod session {
     use super::*;
 
@@ -252,16 +252,6 @@ pub mod session {
         }) };
     }
 
-    /// Zeroes the accumulator for this thread.
-    pub fn reset() {
-        SESSION.with(|s| *s.borrow_mut() = SessionStats::default());
-    }
-
-    /// The accumulator's current totals for this thread.
-    pub fn snapshot() -> SessionStats {
-        SESSION.with(|s| *s.borrow())
-    }
-
     /// Returns the accumulator's totals and zeroes it in one step.
     ///
     /// This is the per-unit-of-work collection primitive for worker
@@ -275,7 +265,7 @@ pub mod session {
     /// Called from `Simulator`'s `Drop`; also callable directly to account
     /// for a simulator that will live past the measurement boundary.
     /// `trace_mode` is the simulator's in-memory trace-buffer mode, if it
-    /// traced at all — surfaced through [`RunHealth`] so truncated traces
+    /// traced at all — surfaced through [`SessionStats`] so truncated traces
     /// are diagnosable from artifacts alone.
     pub fn absorb(
         events: u64,
@@ -312,59 +302,6 @@ pub mod session {
             s.workload_flows = s.workload_flows.max(flows);
             s.workload_bytes_per_flow = s.workload_bytes_per_flow.max(bytes_per_flow);
         });
-    }
-}
-
-/// Health metadata for one run (e.g. one figure of the reproduction),
-/// attached to result artifacts so anomalous runs are visible in the data
-/// itself.
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct RunHealth {
-    /// Simulators the run created.
-    pub sims: u64,
-    /// Total events dispatched.
-    pub events_processed: u64,
-    /// Event throughput against wall-clock time.
-    pub events_per_sec: f64,
-    /// Largest event-heap high-water mark in any simulator.
-    pub peak_event_heap: u64,
-    /// Trace records lost to buffer caps (0 unless tracing with a cap).
-    pub dropped_trace_records: u64,
-    /// Simulators that traced with a keep-first buffer (drops are the
-    /// *latest* records past the cap).
-    pub traced_keep_first_sims: u64,
-    /// Simulators that traced with a keep-latest ring (drops are the
-    /// *earliest* records).
-    pub traced_keep_latest_sims: u64,
-    /// Peak concurrent logical workload flows (0 without a generated
-    /// flow population).
-    pub workload_flows: u64,
-    /// Peak per-flow state bytes at that concurrency (the flat-memory
-    /// measurement; 0 without a generated flow population).
-    pub workload_bytes_per_flow: u64,
-    /// Wall-clock duration of the run, seconds.
-    pub wall_time_s: f64,
-}
-
-impl RunHealth {
-    /// Builds a health block from session totals and a wall-clock duration.
-    pub fn from_session(stats: SessionStats, wall_time_s: f64) -> Self {
-        RunHealth {
-            sims: stats.sims,
-            events_processed: stats.events_processed,
-            events_per_sec: if wall_time_s > 0.0 {
-                stats.events_processed as f64 / wall_time_s
-            } else {
-                0.0
-            },
-            peak_event_heap: stats.peak_event_heap,
-            dropped_trace_records: stats.dropped_trace_records,
-            traced_keep_first_sims: stats.traced_keep_first_sims,
-            traced_keep_latest_sims: stats.traced_keep_latest_sims,
-            workload_flows: stats.workload_flows,
-            workload_bytes_per_flow: stats.workload_bytes_per_flow,
-            wall_time_s,
-        }
     }
 }
 
@@ -465,7 +402,7 @@ mod tests {
 
     #[test]
     fn session_accumulates_across_sims_and_resets() {
-        session::reset();
+        session::take();
         {
             let (mut sim, _) = burst_sim();
             sim.run_until(SimTime::from_secs_f64(1.0));
@@ -474,17 +411,16 @@ mod tests {
             let (mut sim, _) = burst_sim();
             sim.run_until(SimTime::from_secs_f64(1.0));
         }
-        let s = session::snapshot();
+        let s = session::take();
         assert_eq!(s.sims, 2);
         assert!(s.events_processed > 0);
         assert!(s.peak_event_heap > 0);
-        session::reset();
-        assert_eq!(session::snapshot(), SessionStats::default());
+        assert_eq!(session::take(), SessionStats::default());
     }
 
     #[test]
     fn session_take_collects_and_clears_per_thread() {
-        session::reset();
+        session::take();
         {
             let (mut sim, _) = burst_sim();
             sim.run_until(SimTime::from_secs_f64(1.0));
@@ -492,7 +428,7 @@ mod tests {
         let taken = session::take();
         assert_eq!(taken.sims, 1);
         assert!(taken.events_processed > 0);
-        assert_eq!(session::snapshot(), SessionStats::default(), "take must clear");
+        assert_eq!(session::take(), SessionStats::default(), "take must clear");
 
         // Worker threads each own an independent accumulator.
         let handle = std::thread::spawn(|| {
@@ -504,12 +440,12 @@ mod tests {
         });
         let worker = handle.join().expect("worker");
         assert_eq!(worker.sims, 1);
-        assert_eq!(session::snapshot().sims, 0, "worker's sims never leak into this thread");
+        assert_eq!(session::take().sims, 0, "worker's sims never leak into this thread");
     }
 
     #[test]
     fn session_absorbs_impairment_counters() {
-        session::reset();
+        session::take();
         {
             let mut b = SimBuilder::new(5);
             let a = b.add_node();
@@ -575,28 +511,11 @@ mod tests {
 
     #[test]
     fn add_workload_keeps_high_water_marks() {
-        session::reset();
+        session::take();
         session::add_workload(1_000, 48);
         session::add_workload(500, 80);
         let s = session::take();
         assert_eq!(s.workload_flows, 1_000);
         assert_eq!(s.workload_bytes_per_flow, 80);
-    }
-
-    #[test]
-    fn run_health_from_session() {
-        let stats = SessionStats {
-            sims: 3,
-            events_processed: 1_000,
-            peak_event_heap: 42,
-            dropped_trace_records: 7,
-            ..SessionStats::default()
-        };
-        let h = RunHealth::from_session(stats, 0.5);
-        assert_eq!(h.events_per_sec, 2_000.0);
-        assert_eq!(h.peak_event_heap, 42);
-        assert_eq!(h.dropped_trace_records, 7);
-        let zero = RunHealth::from_session(stats, 0.0);
-        assert_eq!(zero.events_per_sec, 0.0, "guard against division by zero");
     }
 }

@@ -254,10 +254,11 @@ impl Serialize for ProfileReport {
 mod tests {
     use super::*;
 
-    /// Serializes accesses to the process-wide ENABLED flag across tests.
+    /// Serializes accesses to the process-wide ENABLED flag across tests:
+    /// every test that sets the flag holds it for its whole body.
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     fn with_enabled<R>(f: impl FnOnce() -> R) -> R {
-        use std::sync::Mutex;
-        static LOCK: Mutex<()> = Mutex::new(());
         let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let _ = take();
         set_current_flow(None);
@@ -269,14 +270,21 @@ mod tests {
         out
     }
 
+    fn with_disabled<R>(f: impl FnOnce() -> R) -> R {
+        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        disable();
+        f()
+    }
+
     #[test]
     fn disabled_records_nothing() {
-        disable();
-        count("x", 1);
-        observe("y", 2);
-        gauge_max("z", 3);
-        span(0, "k", || "unused".to_owned());
-        assert!(take().is_empty());
+        with_disabled(|| {
+            count("x", 1);
+            observe("y", 2);
+            gauge_max("z", 3);
+            span(0, "k", || "unused".to_owned());
+            assert!(take().is_empty());
+        });
     }
 
     #[test]

@@ -89,11 +89,6 @@ impl SenderOutput {
         self.transmissions.clear();
         self.timer = TimerOp::Keep;
     }
-
-    /// Drains the requested transmissions, leaving the buffer empty.
-    pub fn take_transmissions(&mut self) -> Vec<Transmission> {
-        std::mem::take(&mut self.transmissions)
-    }
 }
 
 /// A TCP sender congestion-control/loss-recovery state machine.
@@ -188,14 +183,5 @@ mod tests {
         out.set_timer(SimTime::from_nanos(5));
         out.cancel_timer();
         assert_eq!(out.timer(), TimerOp::Cancel);
-    }
-
-    #[test]
-    fn take_transmissions_empties_buffer() {
-        let mut out = SenderOutput::new();
-        out.transmit(1, false);
-        let t = out.take_transmissions();
-        assert_eq!(t, vec![Transmission { seq: 1, is_retransmit: false }]);
-        assert!(out.transmissions().is_empty());
     }
 }
