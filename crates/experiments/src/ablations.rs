@@ -5,16 +5,15 @@
 //! of each mechanism is visible in isolation.
 
 use netsim::ids::FlowId;
-use netsim::time::SimTime;
 use tcp_pr::{TcpPrConfig, TcpPrSender};
-use transport::host::{attach_flow, receiver_host, sender_host, FlowOptions};
+use transport::host::{attach_flow, sender_host, FlowOptions};
 
 use crate::metrics::mbps;
-use crate::runner::MeasurePlan;
+use crate::runner::{measure_window, MeasurePlan};
 use crate::topologies::{dumbbell, DumbbellConfig};
 
 /// Which mechanism is removed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum Ablation {
     /// The full algorithm (baseline).
     None,
@@ -30,13 +29,6 @@ impl Ablation {
     /// All ablations, baseline first.
     pub const ALL: [Ablation; 4] =
         [Ablation::None, Ablation::NoMemorize, Ablation::NoExtremeLoss, Ablation::HalveFromCurrent];
-
-    /// The inverse of serialization: resolves an ablation from the name the
-    /// serde derive emits (`"None"`, `"NoMemorize"`, …). Used by the sweep
-    /// cache when decoding stored outcomes.
-    pub fn from_name(name: &str) -> Option<Ablation> {
-        Ablation::ALL.into_iter().find(|a| format!("{a:?}") == name)
-    }
 
     /// Display label.
     pub fn label(self) -> &'static str {
@@ -62,7 +54,7 @@ impl Ablation {
 }
 
 /// Outcome of one ablation run.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct AblationResult {
     /// Which mechanism was removed.
     pub ablation: Ablation,
@@ -87,10 +79,7 @@ pub fn run_ablation(ablation: Ablation, plan: MeasurePlan, seed: u64) -> Ablatio
         TcpPrSender::new(ablation.config()),
         FlowOptions::default(),
     );
-    d.sim.run_until(SimTime::ZERO + plan.warmup);
-    let before = receiver_host(&d.sim, h.receiver).received_unique_bytes();
-    d.sim.run_until(SimTime::ZERO + plan.total());
-    let delivered = receiver_host(&d.sim, h.receiver).received_unique_bytes() - before;
+    let delivered = measure_window(&mut d.sim, &[h], plan)[0];
     let host = sender_host::<TcpPrSender>(&d.sim, h.sender);
     AblationResult {
         ablation,
@@ -120,7 +109,7 @@ pub fn format_table(results: &[AblationResult]) -> String {
 
 #[cfg(test)]
 mod tests {
-    use serde::Value;
+    use serde::Deserialize;
 
     use super::*;
     use crate::sweep::grids::assemble_fresh;
@@ -154,9 +143,7 @@ mod tests {
             })
             .collect();
         let (t, results) = assemble_fresh("ablations", &specs);
-        let Value::Array(rows) = results else { panic!("rows array") };
-        let rows: Vec<AblationResult> =
-            rows.iter().map(|r| crate::sweep::decode::ablation_result(r).unwrap()).collect();
+        let rows: Vec<AblationResult> = Deserialize::from_value(&results).expect("rows");
         assert_eq!(rows.len(), 4);
         assert!(t.contains("full algorithm"));
         assert!(t.contains("no memorize"));

@@ -69,7 +69,7 @@ use experiments::sweep::{
 use experiments::telemetry::{artifact_json, warn_if_dropped};
 use experiments::variants::Variant;
 use netsim::telemetry::SessionStats;
-use serde::Value;
+use serde::{Deserialize, Value};
 
 struct Cli {
     quick: bool,
@@ -386,8 +386,9 @@ fn run_profile(cli: &Cli, ctx: &ExecCtx) -> bool {
 /// Finding a counterexample is a *successful* hunt, not an error — the
 /// exit code reflects infrastructure failures only.
 fn run_hunt(cli: &Cli) -> i32 {
-    let variant = match Variant::from_name(&cli.hunt_variant)
-        .or_else(|| Variant::ALL.into_iter().find(|v| v.label() == cli.hunt_variant))
+    // Accept the serialized name (`TcpPr`) or the legend label (`TCP-PR`).
+    let variant = match Variant::from_value(&Value::Str(cli.hunt_variant.clone()))
+        .or_else(|| Variant::from_label(&cli.hunt_variant))
     {
         Some(v) => v,
         None => {

@@ -26,14 +26,12 @@
 
 use std::path::{Path, PathBuf};
 
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
-use crate::hunt::{candidate_from_value, run_hunt_cell, Candidate, Objective};
-use crate::stress::StressConfig;
-use crate::sweep::decode::{as_f64, as_str, as_u64, get};
+use crate::hunt::{candidate_from_value, Candidate, HuntCellResult, Objective};
 use crate::sweep::{
-    run_sweep, CachePolicy, ExecCtx, ForensicCtx, PlanSpec, ScenarioKind, ScenarioSpec,
-    SweepOptions, DEFAULT_CACHE_DIR,
+    run_sweep, CachePolicy, ExecCtx, ForensicCtx, RunOutcome, ScenarioSpec, SweepOptions,
+    DEFAULT_CACHE_DIR,
 };
 use crate::variants::Variant;
 
@@ -63,36 +61,41 @@ impl CounterexampleDoc {
     /// Parses a counterexample file's JSON text.
     pub fn parse(text: &str) -> Result<Self, String> {
         let v: Value = serde_json::from_str(text).map_err(|e| format!("invalid JSON: {e}"))?;
-        let kind = get(&v, "kind").and_then(as_str).unwrap_or("");
+        let kind = v.get("kind").and_then(Value::as_str).unwrap_or("");
         if kind != "hunt" {
             return Err(format!("not a hunt counterexample (kind = {kind:?})"));
         }
-        let plan = get(&v, "plan").and_then(as_str).unwrap_or("");
+        let plan = v.get("plan").and_then(Value::as_str).unwrap_or("");
         if plan != "smoke" {
             return Err(format!("unsupported plan {plan:?} (expected \"smoke\")"));
         }
-        let label =
-            get(&v, "variant").and_then(as_str).ok_or_else(|| "missing \"variant\"".to_owned())?;
+        let label = v
+            .get("variant")
+            .and_then(Value::as_str)
+            .ok_or_else(|| "missing \"variant\"".to_owned())?;
         let variant =
             Variant::from_label(label).ok_or_else(|| format!("unknown variant label {label:?}"))?;
-        let base_seed = get(&v, "base_seed")
-            .and_then(as_u64)
+        let base_seed = v
+            .get("base_seed")
+            .and_then(Value::as_u64)
             .ok_or_else(|| "missing \"base_seed\"".to_owned())?;
-        let content_hash = get(&v, "content_hash")
-            .and_then(as_str)
+        let content_hash = v
+            .get("content_hash")
+            .and_then(Value::as_str)
             .ok_or_else(|| "missing \"content_hash\"".to_owned())?
             .to_owned();
-        let candidate = get(&v, "candidate")
+        let candidate = v
+            .get("candidate")
             .and_then(candidate_from_value)
             .ok_or_else(|| "missing or malformed \"candidate\"".to_owned())?;
         Ok(CounterexampleDoc {
             variant,
             base_seed,
             content_hash,
-            objective: get(&v, "objective").and_then(as_str).map(str::to_owned),
-            baseline_value: get(&v, "baseline_value").and_then(as_f64),
-            threshold: get(&v, "threshold").and_then(as_f64),
-            value: get(&v, "value").and_then(as_f64),
+            objective: v.get("objective").and_then(Value::as_str).map(str::to_owned),
+            baseline_value: v.get("baseline_value").and_then(Value::as_f64),
+            threshold: v.get("threshold").and_then(Value::as_f64),
+            value: v.get("value").and_then(Value::as_f64),
             candidate,
         })
     }
@@ -107,10 +110,7 @@ impl CounterexampleDoc {
     /// Rebuilds the exact [`ScenarioSpec`] the hunt pinned, and verifies
     /// its content hash against the stored one.
     pub fn spec(&self) -> Result<ScenarioSpec, String> {
-        let spec = ScenarioSpec::new(ScenarioKind::Hunt { variant: self.variant }, PlanSpec::Smoke)
-            .with_impairments(self.candidate.impairments.clone())
-            .with_schedule(self.candidate.schedule.clone());
-        let spec = ScenarioSpec { base_seed: self.base_seed, ..spec };
+        let spec = self.candidate.spec(self.variant, self.base_seed);
         if spec.hash_hex() != self.content_hash {
             return Err(format!(
                 "content hash mismatch: document says {}, rebuilt spec hashes to {} — \
@@ -207,15 +207,15 @@ pub fn run_explain(path: &Path, jobs: usize) -> Result<ExplainReport, String> {
 /// Pulls `(kind, cause_chain)` pairs out of a forensic outcome value.
 fn extract_incidents(outcome: &Value) -> Vec<(String, Vec<String>)> {
     let mut out = Vec::new();
-    let incidents = match get(outcome, "report").and_then(|r| get(r, "incidents")) {
+    let incidents = match outcome.get("report").and_then(|r| r.get("incidents")) {
         Some(Value::Array(items)) => items,
         _ => return out,
     };
     for inc in incidents {
-        let kind = get(inc, "kind").and_then(as_str).unwrap_or("?").to_owned();
-        let chain = match get(inc, "cause_chain") {
+        let kind = inc.get("kind").and_then(Value::as_str).unwrap_or("?").to_owned();
+        let chain = match inc.get("cause_chain") {
             Some(Value::Array(links)) => {
-                links.iter().filter_map(as_str).map(str::to_owned).collect()
+                links.iter().filter_map(Value::as_str).map(str::to_owned).collect()
             }
             _ => Vec::new(),
         };
@@ -238,7 +238,7 @@ fn render(doc: &CounterexampleDoc, outcome: &Value, incidents: &[(String, Vec<St
     );
     if let (Some(obj), Some(base), Some(thr)) = (&doc.objective, doc.baseline_value, doc.threshold)
     {
-        let measured = get(outcome, "objective_value").and_then(as_f64);
+        let measured = outcome.get("objective_value").and_then(Value::as_f64);
         let _ = match measured {
             Some(m) => writeln!(
                 s,
@@ -247,10 +247,10 @@ fn render(doc: &CounterexampleDoc, outcome: &Value, incidents: &[(String, Vec<St
             None => writeln!(s, "objective {obj}: baseline {base:.4}, threshold {thr:.4}"),
         };
     }
-    if let Some(cap) = get(outcome, "capture") {
-        let tr = get(cap, "trace_records").and_then(as_u64).unwrap_or(0);
-        let dropped = get(cap, "dropped_trace_records").and_then(as_u64).unwrap_or(0);
-        let spans = get(cap, "spans").and_then(as_u64).unwrap_or(0);
+    if let Some(cap) = outcome.get("capture") {
+        let tr = cap.get("trace_records").and_then(Value::as_u64).unwrap_or(0);
+        let dropped = cap.get("dropped_trace_records").and_then(Value::as_u64).unwrap_or(0);
+        let spans = cap.get("spans").and_then(Value::as_u64).unwrap_or(0);
         let _ = writeln!(s, "capture: {tr} trace records ({dropped} dropped), {spans} spans");
     }
     if incidents.is_empty() {
@@ -288,6 +288,9 @@ pub struct ReplayReport {
 /// threshold. This is the fixture regression check: a CC change that fixes
 /// the pathology flips `reproduced` to `false`, failing the pinned test
 /// loudly instead of leaving a stale fixture.
+///
+/// Both cells run as one sweep, so a candidate the simulator rejects
+/// (a panic inside the cell) comes back as an `Err`, not an abort.
 pub fn run_replay(path: &Path) -> Result<ReplayReport, String> {
     let doc = CounterexampleDoc::load(path)?;
     let spec = doc.spec()?;
@@ -297,29 +300,20 @@ pub fn run_replay(path: &Path) -> Result<ReplayReport, String> {
         .and_then(Objective::from_name)
         .ok_or_else(|| "counterexample lacks a recognized \"objective\"".to_owned())?;
 
-    let baseline = Candidate::baseline();
-    let base_spec = ScenarioSpec::new(ScenarioKind::Hunt { variant: doc.variant }, PlanSpec::Smoke)
-        .with_impairments(baseline.impairments.clone())
-        .with_schedule(baseline.schedule.clone());
-    let base_spec = ScenarioSpec { base_seed: doc.base_seed, ..base_spec };
-
-    let plan = PlanSpec::Smoke.plan();
-    let base_cell = run_hunt_cell(
-        doc.variant,
-        &baseline.impairments,
-        &baseline.schedule,
-        StressConfig::default(),
-        plan,
-        base_spec.sim_seed(),
-    );
-    let cell = run_hunt_cell(
-        doc.variant,
-        &doc.candidate.impairments,
-        &doc.candidate.schedule,
-        StressConfig::default(),
-        plan,
-        spec.sim_seed(),
-    );
+    let base_spec = Candidate::baseline().spec(doc.variant, doc.base_seed);
+    let opts = SweepOptions {
+        jobs: 1,
+        cache: CachePolicy::Off,
+        cache_dir: DEFAULT_CACHE_DIR.into(),
+        progress: false,
+    };
+    let report = run_sweep(&[base_spec, spec], &ExecCtx::default(), &opts);
+    let decode_cell = |i: usize, which: &str| match &report.runs[i].outcome {
+        RunOutcome::Completed(v) => HuntCellResult::from_value(v)
+            .ok_or_else(|| format!("{which} cell outcome does not decode")),
+        RunOutcome::Crashed { message } => Err(format!("{which} cell crashed: {message}")),
+    };
+    let (base_cell, cell) = (decode_cell(0, "baseline")?, decode_cell(1, "counterexample")?);
 
     let baseline_value = objective.value(&base_cell);
     let threshold = objective.threshold(baseline_value);
@@ -330,6 +324,7 @@ pub fn run_replay(path: &Path) -> Result<ReplayReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{PlanSpec, ScenarioKind};
 
     const DOC: &str = r#"{
       "kind": "hunt",
@@ -371,6 +366,33 @@ mod tests {
         }
         .hash_hex();
         assert!(doc.spec().is_ok());
+    }
+
+    #[test]
+    fn replay_of_a_candidate_the_simulator_rejects_is_an_error() {
+        // `every: 0` passes parsing and hashing but trips the displacement
+        // stage's own assertion inside the cell.
+        let candidate = Candidate {
+            impairments: vec![crate::sweep::ImpairmentSpec::Displace { every: 0, depth: 4 }],
+            schedule: Vec::new(),
+        };
+        let spec = candidate.spec(Variant::TcpPr, 0);
+        let doc = Value::Object(vec![
+            ("kind".to_owned(), Value::Str("hunt".to_owned())),
+            ("variant".to_owned(), Value::Str(Variant::TcpPr.label().to_owned())),
+            ("plan".to_owned(), Value::Str("smoke".to_owned())),
+            ("base_seed".to_owned(), Value::UInt(spec.base_seed)),
+            ("content_hash".to_owned(), Value::Str(spec.hash_hex())),
+            ("objective".to_owned(), Value::Str("goodput".to_owned())),
+            ("candidate".to_owned(), crate::hunt::candidate_value(&candidate)),
+        ]);
+        let path = std::env::temp_dir()
+            .join(format!("replay-rejected-candidate-{}.json", std::process::id()));
+        std::fs::write(&path, serde_json::to_string(&doc).unwrap()).unwrap();
+        let result = run_replay(&path);
+        std::fs::remove_file(&path).ok();
+        let err = result.expect_err("the candidate cell panics");
+        assert!(err.contains("counterexample cell crashed"), "{err}");
     }
 
     #[test]

@@ -52,7 +52,7 @@ impl Default for FairnessParams {
 }
 
 /// Outcome of one fairness run.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct FairnessResult {
     /// Topology label.
     pub topology: String,

@@ -44,7 +44,6 @@ pub fn format_table(points: &[Fig3Point]) -> String {
 mod tests {
     use serde::Value;
 
-    use crate::sweep::decode::{as_f64, get};
     use crate::sweep::grids::{assemble_fresh, fairness_spec};
     use crate::sweep::{PlanSpec, TopologySpec};
 
@@ -64,7 +63,7 @@ mod tests {
     }
 
     fn field(point: &Value, key: &str) -> f64 {
-        get(point, key).and_then(as_f64).unwrap_or_else(|| panic!("numeric {key}"))
+        point.get(key).and_then(Value::as_f64).unwrap_or_else(|| panic!("numeric {key}"))
     }
 
     #[test]

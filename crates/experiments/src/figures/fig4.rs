@@ -63,7 +63,6 @@ pub fn format_table(cells: &[Fig4Cell]) -> String {
 mod tests {
     use serde::Value;
 
-    use crate::sweep::decode::{as_f64, get};
     use crate::sweep::grids::{assemble_fresh, fairness_spec};
     use crate::sweep::{PlanSpec, TopologySpec};
 
@@ -83,8 +82,9 @@ mod tests {
     }
 
     fn mean_sack_at_beta(cells: &[Value], beta: f64) -> f64 {
-        let cell = cells.iter().find(|c| get(c, "beta").and_then(as_f64) == Some(beta)).unwrap();
-        get(cell, "mean_sack").and_then(as_f64).unwrap()
+        let cell =
+            cells.iter().find(|c| c.get("beta").and_then(Value::as_f64) == Some(beta)).unwrap();
+        cell.get("mean_sack").and_then(Value::as_f64).unwrap()
     }
 
     #[test]

@@ -7,12 +7,11 @@
 //! survives at 10 ms link delay but collapses at 60 ms — its wait threshold
 //! scales with RTT and its dupthresh interaction makes it bursty.
 
-use netsim::time::SimTime;
 use transport::host::{attach_flow, receiver_host, sender_host, FlowOptions};
 use transport::sender::TcpSenderAlgo;
 
 use crate::metrics::mbps;
-use crate::runner::MeasurePlan;
+use crate::runner::{measure_window, MeasurePlan};
 use crate::topologies::{multipath_mesh, MeshConfig};
 use crate::variants::Variant;
 
@@ -26,7 +25,7 @@ pub const EPSILONS: [f64; 5] = [0.0, 1.0, 4.0, 10.0, 500.0];
 pub const WINDOW_CAP: f64 = 300.0;
 
 /// One bar of Figure 6.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct Fig6Point {
     /// Protocol under test.
     pub variant: Variant,
@@ -72,10 +71,7 @@ pub fn run_multipath_point(
         FlowOptions::default(),
     );
 
-    sim.run_until(SimTime::ZERO + plan.warmup);
-    let before = receiver_host(&sim, handle.receiver).received_unique_bytes();
-    sim.run_until(SimTime::ZERO + plan.total());
-    let delivered = receiver_host(&sim, handle.receiver).received_unique_bytes() - before;
+    let delivered = measure_window(&mut sim, &[handle], plan)[0];
 
     let sender = sender_host::<Box<dyn TcpSenderAlgo>>(&sim, handle.sender);
     let receiver = receiver_host(&sim, handle.receiver);

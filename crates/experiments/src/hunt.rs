@@ -35,7 +35,7 @@ use adversary::search::{hill_climb, GenerationRecord, SearchConfig};
 use adversary::shrink::{shrink, ShrinkOutcome};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
 use netsim::impair::{AdminEntry, LinkAdmin};
 use netsim::time::{SimDuration, SimTime};
@@ -43,7 +43,7 @@ use transport::host::{attach_flow, receiver_host, sender_host, FlowOptions};
 use transport::sender::TcpSenderAlgo;
 
 use crate::metrics::{jain_fairness, mbps};
-use crate::runner::MeasurePlan;
+use crate::runner::{measure_window_with, MeasurePlan};
 use crate::stress::{self, StressConfig};
 use crate::sweep::spec::AdminWindowSpec;
 use crate::sweep::{
@@ -89,6 +89,15 @@ impl Candidate {
     /// The empty (baseline) candidate.
     pub fn baseline() -> Self {
         Candidate { impairments: Vec::new(), schedule: Vec::new() }
+    }
+
+    /// The hunt-cell spec that races `variant` under this candidate; the
+    /// hunt, its counterexample files and `repro replay` all build it here.
+    pub fn spec(&self, variant: Variant, base_seed: u64) -> ScenarioSpec {
+        let spec = ScenarioSpec::new(ScenarioKind::Hunt { variant }, PlanSpec::Smoke)
+            .with_impairments(self.impairments.clone())
+            .with_schedule(self.schedule.clone());
+        ScenarioSpec { base_seed, ..spec }
     }
 
     /// The shrinker's size measure: one unit per entry plus the quantized
@@ -439,7 +448,7 @@ fn weakened_windows(w: &AdminWindowSpec) -> Vec<AdminWindowSpec> {
 
 /// Outcome of one hunt cell: the hunted variant against a SACK rival on the
 /// stress dumbbell, with the sim-core invariant oracle consulted at the end.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct HuntCellResult {
     /// Protocol under test (flow 0).
     pub variant: Variant,
@@ -633,20 +642,8 @@ fn run_cell_impl(
         sampler = Some(s);
     }
 
-    let warmup_end = SimTime::ZERO + plan.warmup;
-    match sampler.as_mut() {
-        Some(s) => s.advance(&mut d.sim, warmup_end),
-        None => d.sim.run_until(warmup_end),
-    }
-    let before_hunted = receiver_host(&d.sim, hunted.receiver).received_unique_bytes();
-    let before_rival = receiver_host(&d.sim, rival.receiver).received_unique_bytes();
-    match sampler.as_mut() {
-        Some(s) => s.advance(&mut d.sim, until),
-        None => d.sim.run_until(until),
-    }
-    let hunted_bytes =
-        receiver_host(&d.sim, hunted.receiver).received_unique_bytes() - before_hunted;
-    let rival_bytes = receiver_host(&d.sim, rival.receiver).received_unique_bytes() - before_rival;
+    let bytes = measure_window_with(&mut d.sim, &[hunted, rival], plan, sampler.as_mut());
+    let (hunted_bytes, rival_bytes) = (bytes[0], bytes[1]);
 
     let window_s = plan.window.as_secs_f64();
     let hunted_mbps = mbps(hunted_bytes, window_s);
@@ -824,20 +821,12 @@ impl Evaluator {
         Evaluator { variant, seed, jobs, memo: HashMap::new(), fresh: 0, memo_hits: 0 }
     }
 
-    fn spec_for(&self, c: &Candidate) -> ScenarioSpec {
-        let mut spec =
-            ScenarioSpec::new(ScenarioKind::Hunt { variant: self.variant }, PlanSpec::Smoke)
-                .with_impairments(c.impairments.clone())
-                .with_schedule(c.schedule.clone());
-        spec.base_seed = self.seed;
-        spec
-    }
-
     /// Evaluates a batch of candidates, in order. Previously seen content
     /// hashes are free (memoized); the rest run through the sweep pool,
     /// whose outcomes come back in spec order at any worker count.
     fn results(&mut self, cands: &[Candidate]) -> Vec<Option<HuntCellResult>> {
-        let specs: Vec<ScenarioSpec> = cands.iter().map(|c| self.spec_for(c)).collect();
+        let specs: Vec<ScenarioSpec> =
+            cands.iter().map(|c| c.spec(self.variant, self.seed)).collect();
         let hashes: Vec<u64> = specs.iter().map(ScenarioSpec::content_hash).collect();
 
         let mut to_run: Vec<ScenarioSpec> = Vec::new();
@@ -862,9 +851,10 @@ impl Evaluator {
             };
             let report = run_sweep(&to_run, &ExecCtx::default(), &opts);
             for (run, &h) in report.runs.iter().zip(&to_run_hashes) {
-                let decoded = run.outcome.value().map(|v| {
-                    crate::sweep::decode::hunt_cell_result(v).expect("hunt cells decode losslessly")
-                });
+                let decoded = run
+                    .outcome
+                    .value()
+                    .map(|v| HuntCellResult::from_value(v).expect("hunt cells decode losslessly"));
                 self.memo.insert(h, decoded);
             }
         }
@@ -1015,10 +1005,7 @@ fn write_counterexample(
     baseline_value: f64,
     threshold: f64,
 ) -> Result<PathBuf, String> {
-    let spec = ScenarioSpec::new(ScenarioKind::Hunt { variant: cfg.variant }, PlanSpec::Smoke)
-        .with_impairments(minimal.impairments.clone())
-        .with_schedule(minimal.schedule.clone());
-    let spec = ScenarioSpec { base_seed: cfg.seed, ..spec };
+    let spec = minimal.spec(cfg.variant, cfg.seed);
     let dir = Path::new("results/counterexamples");
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let path = dir.join(format!("{}-{}.json", cfg.objective.name(), spec.hash_hex()));
@@ -1166,10 +1153,9 @@ pub fn candidate_value(c: &Candidate) -> Value {
 }
 
 fn impairment_from_value(v: &Value) -> Option<ImpairmentSpec> {
-    use crate::sweep::decode::{as_str, get};
-    let f = |key: &str| get(v, key).and_then(crate::sweep::decode::as_f64);
-    let u = |key: &str| get(v, key).and_then(crate::sweep::decode::as_u64);
-    match as_str(get(v, "type")?)? {
+    let f = |key: &str| v.get(key).and_then(Value::as_f64);
+    let u = |key: &str| v.get(key).and_then(Value::as_u64);
+    match v.get("type")?.as_str()? {
         "iid-loss" => Some(ImpairmentSpec::IidLoss { p: f("p")? }),
         "burst-loss" => Some(ImpairmentSpec::BurstLoss {
             p_good_to_bad: f("p_good_to_bad")?,
@@ -1197,9 +1183,8 @@ fn impairment_from_value(v: &Value) -> Option<ImpairmentSpec> {
 }
 
 fn window_from_value(v: &Value) -> Option<AdminWindowSpec> {
-    use crate::sweep::decode::{as_str, get};
-    let u = |key: &str| get(v, key).and_then(crate::sweep::decode::as_u64);
-    match as_str(get(v, "type")?)? {
+    let u = |key: &str| v.get(key).and_then(Value::as_u64);
+    match v.get("type")?.as_str()? {
         "down" => Some(AdminWindowSpec::Down { at_ms: u("at_ms")?, dur_ms: u("dur_ms")? }),
         "delay" => Some(AdminWindowSpec::Delay {
             at_ms: u("at_ms")?,
@@ -1213,14 +1198,13 @@ fn window_from_value(v: &Value) -> Option<AdminWindowSpec> {
 /// Decodes a candidate back out of [`candidate_value`]'s encoding — the
 /// replay path for pinned counterexample specs.
 pub fn candidate_from_value(v: &Value) -> Option<Candidate> {
-    use crate::sweep::decode::get;
-    let imps = match get(v, "impairments")? {
+    let imps = match v.get("impairments")? {
         Value::Array(items) => {
             items.iter().map(impairment_from_value).collect::<Option<Vec<_>>>()?
         }
         _ => return None,
     };
-    let wins = match get(v, "schedule")? {
+    let wins = match v.get("schedule")? {
         Value::Array(items) => items.iter().map(window_from_value).collect::<Option<Vec<_>>>()?,
         _ => return None,
     };

@@ -14,7 +14,7 @@ use transport::host::{attach_flow, receiver_host, sender_host, FlowOptions};
 use transport::sender::TcpSenderAlgo;
 
 use crate::metrics::mbps;
-use crate::runner::MeasurePlan;
+use crate::runner::{measure_window, MeasurePlan};
 use crate::topologies::{multipath_mesh, MeshConfig};
 use crate::variants::Variant;
 
@@ -40,7 +40,7 @@ impl Default for ChurnConfig {
 }
 
 /// Outcome of one churn run.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct ChurnResult {
     /// Protocol under test.
     pub variant: Variant,
@@ -92,10 +92,7 @@ pub fn run_churn(variant: Variant, cfg: ChurnConfig, plan: MeasurePlan, seed: u6
         variant.build_with(tcp_pr::TcpPrConfig::default(), 300.0),
         FlowOptions::default(),
     );
-    sim.run_until(SimTime::ZERO + plan.warmup);
-    let before = receiver_host(&sim, h.receiver).received_unique_bytes();
-    sim.run_until(SimTime::ZERO + plan.total());
-    let delivered = receiver_host(&sim, h.receiver).received_unique_bytes() - before;
+    let delivered = measure_window(&mut sim, &[h], plan)[0];
     let rx = receiver_host(&sim, h.receiver);
     let tx = sender_host::<Box<dyn TcpSenderAlgo>>(&sim, h.sender);
     ChurnResult {

@@ -16,7 +16,7 @@ use transport::host::{attach_flow, receiver_host, sender_host, FlowOptions};
 use transport::sender::TcpSenderAlgo;
 
 use crate::metrics::mbps;
-use crate::runner::MeasurePlan;
+use crate::runner::{measure_window, MeasurePlan};
 use crate::variants::Variant;
 
 /// Parameters of the route-flap scenario.
@@ -44,7 +44,7 @@ impl Default for RouteFlapConfig {
 }
 
 /// Outcome of one route-flap run.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct RouteFlapResult {
     /// Protocol under test.
     pub variant: Variant,
@@ -100,10 +100,7 @@ pub fn run_route_flap(
         variant.build(),
         FlowOptions::default(),
     );
-    sim.run_until(SimTime::ZERO + plan.warmup);
-    let before = receiver_host(&sim, h.receiver).received_unique_bytes();
-    sim.run_until(SimTime::ZERO + plan.total());
-    let delivered = receiver_host(&sim, h.receiver).received_unique_bytes() - before;
+    let delivered = measure_window(&mut sim, &[h], plan)[0];
 
     let rx = receiver_host(&sim, h.receiver);
     let tx = sender_host::<Box<dyn TcpSenderAlgo>>(&sim, h.sender);

@@ -53,7 +53,7 @@ impl Default for ScaleConfig {
 }
 
 /// Outcome of one scale cell.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct ScaleResult {
     /// Protocol of the foreground flow.
     pub variant: Variant,

@@ -18,7 +18,7 @@ use transport::host::{attach_flow, receiver_host, sender_host, FlowOptions};
 use transport::sender::TcpSenderAlgo;
 
 use crate::metrics::mbps;
-use crate::runner::MeasurePlan;
+use crate::runner::{measure_window, MeasurePlan};
 use crate::sweep::spec::ImpairmentSpec;
 use crate::topologies::{dumbbell, DumbbellConfig};
 use crate::variants::Variant;
@@ -61,7 +61,7 @@ impl Default for StressConfig {
 }
 
 /// Outcome of one stress cell.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct StressResult {
     /// Protocol under test.
     pub variant: Variant,
@@ -204,10 +204,7 @@ pub fn run_stress(
         variant.build(),
         FlowOptions::default(),
     );
-    d.sim.run_until(SimTime::ZERO + plan.warmup);
-    let before = receiver_host(&d.sim, h.receiver).received_unique_bytes();
-    d.sim.run_until(until);
-    let delivered = receiver_host(&d.sim, h.receiver).received_unique_bytes() - before;
+    let delivered = measure_window(&mut d.sim, &[h], plan)[0];
 
     let rx = receiver_host(&d.sim, h.receiver).receiver_stats();
     let tx = sender_host::<Box<dyn TcpSenderAlgo>>(&d.sim, h.sender).stats();

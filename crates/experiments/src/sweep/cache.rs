@@ -17,9 +17,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use netsim::telemetry::SessionStats;
-use serde::Value;
+use serde::{Deserialize, Serialize, Value};
 
-use crate::sweep::decode;
 use crate::sweep::spec::{ScenarioSpec, CODE_SALT};
 
 /// How a sweep interacts with the cache.
@@ -56,6 +55,21 @@ pub struct CachedRun {
     pub work: SessionStats,
 }
 
+/// The on-disk form of one entry, `.sweep-cache/<spec_hash>.json`.
+#[derive(Serialize, Deserialize)]
+struct CacheEntry {
+    /// [`CODE_SALT`] of the code that wrote the entry.
+    salt: String,
+    /// [`ScenarioSpec::hash_hex`] of the scenario.
+    spec_hash: String,
+    /// [`ScenarioSpec::label`], for people reading the directory.
+    spec: String,
+    /// The executor's serialized result.
+    outcome: Value,
+    /// Session stats of the run that produced it.
+    work: SessionStats,
+}
+
 /// Handle on one cache directory.
 #[derive(Debug, Clone)]
 pub struct Cache {
@@ -78,39 +92,17 @@ impl Cache {
 
     /// Loads the cached run for `spec`, or `None` on any kind of miss
     /// (absent, unparsable, wrong salt, wrong hash).
+    ///
+    /// Every field is required: entries written before a field existed are
+    /// misses, so schema growth needs no salt bump — old entries simply
+    /// re-execute once.
     pub fn load(&self, spec: &ScenarioSpec) -> Option<CachedRun> {
         let text = fs::read_to_string(self.entry_path(spec)).ok()?;
-        let v = serde_json::from_str(&text).ok()?;
-        if decode::get(&v, "salt").and_then(decode::as_str) != Some(CODE_SALT) {
+        let entry = CacheEntry::from_value(&serde_json::from_str(&text).ok()?)?;
+        if entry.salt != CODE_SALT || entry.spec_hash != spec.hash_hex() {
             return None;
         }
-        if decode::get(&v, "spec_hash").and_then(decode::as_str) != Some(spec.hash_hex().as_str()) {
-            return None;
-        }
-        let outcome = decode::get(&v, "outcome")?.clone();
-        let work = decode::get(&v, "work")?;
-        // Every field is required (`?`): entries written before a field
-        // existed are treated as misses, so schema growth needs no salt
-        // bump — old entries simply re-execute once.
-        let work = SessionStats {
-            sims: decode::get(work, "sims").and_then(decode::as_u64)?,
-            events_processed: decode::get(work, "events_processed").and_then(decode::as_u64)?,
-            peak_event_heap: decode::get(work, "peak_event_heap").and_then(decode::as_u64)?,
-            dropped_trace_records: decode::get(work, "dropped_trace_records")
-                .and_then(decode::as_u64)?,
-            traced_keep_first_sims: decode::get(work, "traced_keep_first_sims")
-                .and_then(decode::as_u64)?,
-            traced_keep_latest_sims: decode::get(work, "traced_keep_latest_sims")
-                .and_then(decode::as_u64)?,
-            impair_drops: decode::get(work, "impair_drops").and_then(decode::as_u64)?,
-            impair_dups: decode::get(work, "impair_dups").and_then(decode::as_u64)?,
-            impair_reorders: decode::get(work, "impair_reorders").and_then(decode::as_u64)?,
-            link_flaps: decode::get(work, "link_flaps").and_then(decode::as_u64)?,
-            workload_flows: decode::get(work, "workload_flows").and_then(decode::as_u64)?,
-            workload_bytes_per_flow: decode::get(work, "workload_bytes_per_flow")
-                .and_then(decode::as_u64)?,
-        };
-        Some(CachedRun { outcome, work })
+        Some(CachedRun { outcome: entry.outcome, work: entry.work })
     }
 
     /// Records a completed scenario. Failures to persist are reported on
@@ -127,41 +119,13 @@ impl Cache {
 
     fn try_store(&self, spec: &ScenarioSpec, run: &CachedRun) -> std::io::Result<()> {
         fs::create_dir_all(&self.dir)?;
-        let entry = Value::Object(vec![
-            ("salt".to_owned(), Value::Str(CODE_SALT.to_owned())),
-            ("spec_hash".to_owned(), Value::Str(spec.hash_hex())),
-            ("spec".to_owned(), Value::Str(spec.label())),
-            ("outcome".to_owned(), run.outcome.clone()),
-            (
-                "work".to_owned(),
-                Value::Object(vec![
-                    ("sims".to_owned(), Value::UInt(run.work.sims)),
-                    ("events_processed".to_owned(), Value::UInt(run.work.events_processed)),
-                    ("peak_event_heap".to_owned(), Value::UInt(run.work.peak_event_heap)),
-                    (
-                        "dropped_trace_records".to_owned(),
-                        Value::UInt(run.work.dropped_trace_records),
-                    ),
-                    (
-                        "traced_keep_first_sims".to_owned(),
-                        Value::UInt(run.work.traced_keep_first_sims),
-                    ),
-                    (
-                        "traced_keep_latest_sims".to_owned(),
-                        Value::UInt(run.work.traced_keep_latest_sims),
-                    ),
-                    ("impair_drops".to_owned(), Value::UInt(run.work.impair_drops)),
-                    ("impair_dups".to_owned(), Value::UInt(run.work.impair_dups)),
-                    ("impair_reorders".to_owned(), Value::UInt(run.work.impair_reorders)),
-                    ("link_flaps".to_owned(), Value::UInt(run.work.link_flaps)),
-                    ("workload_flows".to_owned(), Value::UInt(run.work.workload_flows)),
-                    (
-                        "workload_bytes_per_flow".to_owned(),
-                        Value::UInt(run.work.workload_bytes_per_flow),
-                    ),
-                ]),
-            ),
-        ]);
+        let entry = CacheEntry {
+            salt: CODE_SALT.to_owned(),
+            spec_hash: spec.hash_hex(),
+            spec: spec.label(),
+            outcome: run.outcome.clone(),
+            work: run.work,
+        };
         let text = serde_json::to_string_pretty(&entry).expect("shim serializer is total");
         let tmp = self.dir.join(format!(
             "{}.tmp.{}.{:?}",
@@ -236,6 +200,45 @@ mod tests {
         assert!(cache.load(&s).is_none(), "fresh cache is empty");
         cache.store(&s, &r);
         let loaded = cache.load(&s).expect("hit after store");
+        assert_eq!(loaded.outcome, r.outcome);
+        assert_eq!(loaded.work, r.work);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The entry for `spec()` and `run()`, byte for byte: the on-disk
+    /// format is fixed, so entries written by earlier binaries with the same
+    /// salt keep loading.
+    const PINNED_ENTRY: &str = r#"{
+  "salt": "tcp-pr-sweep-v1",
+  "spec_hash": "eb3e5d5de30246ce",
+  "spec": "fairness dumbbell n=4 α=0.995 β=3 rep=1",
+  "outcome": {
+    "mbps": 12.5
+  },
+  "work": {
+    "sims": 1,
+    "events_processed": 12345,
+    "peak_event_heap": 67,
+    "dropped_trace_records": 0,
+    "traced_keep_first_sims": 1,
+    "traced_keep_latest_sims": 0,
+    "impair_drops": 3,
+    "impair_dups": 2,
+    "impair_reorders": 5,
+    "link_flaps": 1,
+    "workload_flows": 10000,
+    "workload_bytes_per_flow": 96
+  }
+}"#;
+
+    #[test]
+    fn entry_text_is_pinned_and_loads() {
+        let dir = scratch("pinned");
+        let cache = Cache::new(&dir);
+        let (s, r) = (spec(), run());
+        cache.store(&s, &r);
+        assert_eq!(fs::read_to_string(cache.entry_path(&s)).unwrap(), PINNED_ENTRY);
+        let loaded = cache.load(&s).expect("pinned entry loads");
         assert_eq!(loaded.outcome, r.outcome);
         assert_eq!(loaded.work, r.work);
         fs::remove_dir_all(&dir).ok();

@@ -13,17 +13,20 @@
 //! one job list, runs a single sweep over all of it, then hands each
 //! figure its slice of outcomes.
 
-use serde::Value;
+use serde::{Deserialize, Value};
 
-use crate::ablations::{self, Ablation};
+use crate::ablations::{self, Ablation, AblationResult};
+use crate::figures::fairness::FairnessResult;
 use crate::figures::fig2::{self, Fig2Series};
 use crate::figures::fig3::{self, Fig3Point};
 use crate::figures::fig4::{self, Fig4Cell};
-use crate::figures::fig6;
-use crate::sweep::decode;
+use crate::figures::fig6::{self, Fig6Point};
+use crate::manet::{self, ChurnResult};
+use crate::routeflap::{self, RouteFlapResult};
+use crate::scale::{self, ScaleResult};
+use crate::stress::{self, StressResult};
 use crate::sweep::spec::{ImpairmentSpec, PlanSpec, ScenarioKind, ScenarioSpec, TopologySpec};
 use crate::variants::Variant;
-use crate::{manet, routeflap, scale, stress};
 use workload::TopologyModel;
 
 /// One artifact's worth of sweep work: its job grid plus the assembler
@@ -108,10 +111,16 @@ pub(crate) fn fairness_spec(
     ScenarioSpec::new(ScenarioKind::Fairness { topology, n_flows, alpha, beta, replicate }, plan)
 }
 
-fn decode_fairness(v: &Value) -> crate::figures::fairness::FairnessResult {
-    decode::fairness_result(v).expect(
-        "undecodable fairness outcome — a stale or tampered cache entry; clear .sweep-cache",
-    )
+/// Decodes an artifact's outcomes as the result type its grid's executor
+/// serializes.
+fn decode<T: Deserialize>(outcomes: &[Value]) -> Vec<T> {
+    outcomes
+        .iter()
+        .map(|v| {
+            T::from_value(v)
+                .expect("undecodable outcome — a stale or tampered cache entry; clear .sweep-cache")
+        })
+        .collect()
 }
 
 fn fig2_grid(quick: bool, plan: PlanSpec, trace_first: bool) -> FigureGrid {
@@ -135,8 +144,7 @@ fn fig2_grid(quick: bool, plan: PlanSpec, trace_first: bool) -> FigureGrid {
 fn assemble_fig2(specs: &[ScenarioSpec], outcomes: &[Value]) -> (String, Value) {
     // Group rows into one series per topology, first-seen order.
     let mut series: Vec<Fig2Series> = Vec::new();
-    for (spec, v) in specs.iter().zip(outcomes) {
-        let row = decode_fairness(v);
+    for (spec, row) in specs.iter().zip(decode::<FairnessResult>(outcomes)) {
         let ScenarioKind::Fairness { topology, .. } = &spec.kind else {
             unreachable!("fig2 grid emits only fairness specs")
         };
@@ -175,9 +183,8 @@ fn fig3_grid(quick: bool, plan: PlanSpec) -> FigureGrid {
 fn assemble_fig3(specs: &[ScenarioSpec], outcomes: &[Value]) -> (String, Value) {
     let points: Vec<Fig3Point> = specs
         .iter()
-        .zip(outcomes)
-        .map(|(spec, v)| {
-            let r = decode_fairness(v);
+        .zip(decode::<FairnessResult>(outcomes))
+        .map(|(spec, r)| {
             let ScenarioKind::Fairness { topology, replicate, .. } = &spec.kind else {
                 unreachable!("fig3 grid emits only fairness specs")
             };
@@ -223,9 +230,8 @@ fn fig4_grid(quick: bool, plan: PlanSpec, dumbbell: bool) -> FigureGrid {
 fn assemble_fig4(specs: &[ScenarioSpec], outcomes: &[Value]) -> (String, Value) {
     let cells: Vec<Fig4Cell> = specs
         .iter()
-        .zip(outcomes)
-        .map(|(spec, v)| {
-            let r = decode_fairness(v);
+        .zip(decode::<FairnessResult>(outcomes))
+        .map(|(spec, r)| {
             let ScenarioKind::Fairness { alpha, beta, .. } = &spec.kind else {
                 unreachable!("fig4 grid emits only fairness specs")
             };
@@ -281,10 +287,7 @@ fn routeflap_grid(plan: PlanSpec) -> FigureGrid {
 }
 
 fn assemble_routeflap(_specs: &[ScenarioSpec], outcomes: &[Value]) -> (String, Value) {
-    let results: Vec<_> = outcomes
-        .iter()
-        .map(|v| decode::routeflap_result(v).expect("undecodable routeflap outcome"))
-        .collect();
+    let results: Vec<RouteFlapResult> = decode(outcomes);
     (routeflap::format_table(&results), serde::Serialize::to_value(&results))
 }
 
@@ -313,10 +316,7 @@ fn manet_grid(plan: PlanSpec) -> FigureGrid {
 }
 
 fn assemble_manet(_specs: &[ScenarioSpec], outcomes: &[Value]) -> (String, Value) {
-    let results: Vec<_> = outcomes
-        .iter()
-        .map(|v| decode::churn_result(v).expect("undecodable churn outcome"))
-        .collect();
+    let results: Vec<ChurnResult> = decode(outcomes);
     (manet::format_table(&results), serde::Serialize::to_value(&results))
 }
 
@@ -335,10 +335,7 @@ fn ablations_grid(plan: PlanSpec) -> FigureGrid {
 }
 
 fn assemble_ablations(_specs: &[ScenarioSpec], outcomes: &[Value]) -> (String, Value) {
-    let results: Vec<_> = outcomes
-        .iter()
-        .map(|v| decode::ablation_result(v).expect("undecodable ablation outcome"))
-        .collect();
+    let results: Vec<AblationResult> = decode(outcomes);
     (ablations::format_table(&results), serde::Serialize::to_value(&results))
 }
 
@@ -423,10 +420,7 @@ fn stress_smoke_grid() -> FigureGrid {
 }
 
 fn assemble_stress(_specs: &[ScenarioSpec], outcomes: &[Value]) -> (String, Value) {
-    let results: Vec<_> = outcomes
-        .iter()
-        .map(|v| decode::stress_result(v).expect("undecodable stress outcome"))
-        .collect();
+    let results: Vec<StressResult> = decode(outcomes);
     (stress::format_table(&results), serde::Serialize::to_value(&results))
 }
 
@@ -461,16 +455,13 @@ fn faceoff_grid(quick: bool, plan: PlanSpec) -> FigureGrid {
 }
 
 fn assemble_faceoff(_specs: &[ScenarioSpec], outcomes: &[Value]) -> (String, Value) {
-    let points: Vec<_> = outcomes
-        .iter()
-        .map(|v| decode::fig6_point(v).expect("undecodable faceoff outcome"))
-        .collect();
+    let points: Vec<Fig6Point> = decode(outcomes);
     (format_faceoff_table(&points), serde::Serialize::to_value(&points))
 }
 
 /// Face-off table: goodput plus retransmission overhead per (variant, ε),
 /// so the reorder-robustness gap is visible in one block.
-fn format_faceoff_table(points: &[crate::figures::fig6::Fig6Point]) -> String {
+fn format_faceoff_table(points: &[Fig6Point]) -> String {
     let mut epsilons: Vec<f64> = points.iter().map(|p| p.epsilon).collect();
     epsilons.sort_by(f64::total_cmp);
     epsilons.dedup();
@@ -597,10 +588,7 @@ fn scale_smoke_grid() -> FigureGrid {
 }
 
 fn assemble_scale(_specs: &[ScenarioSpec], outcomes: &[Value]) -> (String, Value) {
-    let results: Vec<_> = outcomes
-        .iter()
-        .map(|v| decode::scale_result(v).expect("undecodable scale outcome"))
-        .collect();
+    let results: Vec<ScaleResult> = decode(outcomes);
     (scale::format_table(&results), serde::Serialize::to_value(&results))
 }
 
@@ -625,8 +613,7 @@ fn fig6_grid(quick: bool, plan: PlanSpec, link_delay_ms: u64) -> FigureGrid {
 }
 
 fn assemble_fig6(_specs: &[ScenarioSpec], outcomes: &[Value]) -> (String, Value) {
-    let points: Vec<_> =
-        outcomes.iter().map(|v| decode::fig6_point(v).expect("undecodable fig6 outcome")).collect();
+    let points: Vec<Fig6Point> = decode(outcomes);
     (fig6::format_table(&points), serde::Serialize::to_value(&points))
 }
 
@@ -864,9 +851,10 @@ mod tests {
         let Value::Array(series) = &results else { panic!("series array") };
         assert_eq!(series.len(), 2, "one series per topology");
         for set in series {
-            let topology = decode::get(set, "topology").and_then(decode::as_str).unwrap();
-            let Some(Value::Array(rows)) = decode::get(set, "rows") else { panic!("rows array") };
-            for row in rows.iter().map(decode_fairness) {
+            let topology = set.get("topology").and_then(Value::as_str).unwrap();
+            let rows: Vec<FairnessResult> =
+                set.get("rows").and_then(Deserialize::from_value).expect("rows array");
+            for row in rows {
                 // Shape criterion: both means near 1 (loose band for the
                 // quick plan).
                 assert!(

@@ -10,7 +10,8 @@
 //!    panics are contained per scenario ([`pool`]).
 //! 3. **Reuse** — completed outcomes land in a content-addressed on-disk
 //!    cache so interrupted or repeated sweeps skip finished work
-//!    ([`cache`], [`decode`]).
+//!    ([`cache`]); outcomes are read back through each result type's
+//!    derived `serde::Deserialize`.
 //!
 //! The determinism contract: a scenario's simulator seed is
 //! `content_hash(spec) ^ base_seed`, a pure function of the spec — never of
@@ -19,7 +20,6 @@
 //! and a resumed sweep reproduces them from cache without re-execution.
 
 pub mod cache;
-pub mod decode;
 pub mod exec;
 pub mod grids;
 pub mod pool;

@@ -10,16 +10,16 @@
 //! - **AIMD convergence**: two identical flows sharing one bottleneck
 //!   converge to equal shares (Chiu–Jain, the paper's reference \[7\]).
 //!
-//! These run as ordinary tests; the module also exposes the runners so the
-//! `repro` binary can print the comparison.
+//! These run as the module's unit tests; no `repro` command prints them.
 
 use netsim::ids::FlowId;
 use netsim::link::LinkConfig;
 use netsim::sim::SimBuilder;
-use netsim::time::{SimDuration, SimTime};
-use transport::host::{attach_flow, receiver_host, FlowOptions};
+use netsim::time::SimDuration;
+use transport::host::{attach_flow, FlowOptions};
 
 use crate::metrics::mbps;
+use crate::runner::{measure_window, MeasurePlan};
 use crate::variants::Variant;
 
 /// Result of a Mathis-law validation point.
@@ -52,18 +52,15 @@ pub fn mathis_point(p: f64, seed: u64) -> MathisPoint {
         Variant::Sack.build(),
         FlowOptions::default(),
     );
-    let warmup = SimDuration::from_secs(20);
-    let window = SimDuration::from_secs(60);
-    sim.run_until(SimTime::ZERO + warmup);
-    let before = receiver_host(&sim, h.receiver).received_unique_bytes();
-    sim.run_until(SimTime::ZERO + warmup + window);
-    let delivered = receiver_host(&sim, h.receiver).received_unique_bytes() - before;
+    let plan =
+        MeasurePlan { warmup: SimDuration::from_secs(20), window: SimDuration::from_secs(60) };
+    let delivered = measure_window(&mut sim, &[h], plan)[0];
 
     let mss_bits = 8_000.0;
     let predicted = mss_bits / rtt_s * (1.5f64 / p).sqrt() / 1e6;
     MathisPoint {
         loss: p,
-        measured_mbps: mbps(delivered, window.as_secs_f64()),
+        measured_mbps: mbps(delivered, plan.window.as_secs_f64()),
         predicted_mbps: predicted,
     }
 }
@@ -95,17 +92,14 @@ pub fn window_ceiling_point(cap: f64, seed: u64) -> WindowCeilingPoint {
         tcp_pr::TcpPrSender::new(pr),
         FlowOptions::default(),
     );
-    let warmup = SimDuration::from_secs(5);
-    let window = SimDuration::from_secs(20);
-    sim.run_until(SimTime::ZERO + warmup);
-    let before = receiver_host(&sim, h.receiver).received_unique_bytes();
-    sim.run_until(SimTime::ZERO + warmup + window);
-    let delivered = receiver_host(&sim, h.receiver).received_unique_bytes() - before;
+    let plan =
+        MeasurePlan { warmup: SimDuration::from_secs(5), window: SimDuration::from_secs(20) };
+    let delivered = measure_window(&mut sim, &[h], plan)[0];
     // RTT = 2 × 50 ms propagation + serialization (negligible at 100 Mbps).
     let rtt_s = 0.1008;
     WindowCeilingPoint {
         cwnd_cap: cap,
-        measured_mbps: mbps(delivered, window.as_secs_f64()),
+        measured_mbps: mbps(delivered, plan.window.as_secs_f64()),
         predicted_mbps: cap * 8_000.0 / rtt_s / 1e6,
     }
 }
@@ -113,6 +107,7 @@ pub fn window_ceiling_point(cap: f64, seed: u64) -> WindowCeilingPoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::time::SimTime;
 
     #[test]
     fn mathis_law_within_factor_two() {
@@ -182,14 +177,9 @@ mod tests {
             Variant::Sack.build(),
             FlowOptions { start_at: SimTime::from_secs_f64(10.0), ..Default::default() },
         );
-        // Measure long after both are active.
-        sim.run_until(SimTime::from_secs_f64(60.0));
-        let b1 = receiver_host(&sim, h1.receiver).received_unique_bytes();
-        let b2 = receiver_host(&sim, h2.receiver).received_unique_bytes();
-        sim.run_until(SimTime::from_secs_f64(120.0));
-        let x1 = receiver_host(&sim, h1.receiver).received_unique_bytes() - b1;
-        let x2 = receiver_host(&sim, h2.receiver).received_unique_bytes() - b2;
-        let share = x1 as f64 / (x1 + x2) as f64;
+        // Measure over 60–120 s, long after both are active.
+        let x = measure_window(&mut sim, &[h1, h2], MeasurePlan::default());
+        let share = x[0] as f64 / (x[0] + x[1]) as f64;
         assert!(
             (0.35..0.65).contains(&share),
             "late-starting flow must converge to an equal share: {share:.3}"

@@ -13,7 +13,7 @@ use tcp_pr::{TcpPrConfig, TcpPrSender};
 use transport::sender::TcpSenderAlgo;
 
 /// Every sender variant exercised by the reproduction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum Variant {
     /// TCP-PR with paper-default parameters (α = 0.995, β = 3).
     TcpPr,
@@ -70,13 +70,6 @@ impl Variant {
         Variant::Cubic,
         Variant::Bbr,
     ];
-
-    /// The inverse of serialization: resolves a variant from the name the
-    /// serde derive emits (`"TcpPr"`, `"TdFr"`, …). Used by the sweep cache
-    /// when decoding stored outcomes.
-    pub fn from_name(name: &str) -> Option<Variant> {
-        Variant::ALL.into_iter().find(|v| format!("{v:?}") == name)
-    }
 
     /// The inverse of [`Variant::label`]: resolves a variant from its paper
     /// legend name (`"TCP-PR"`, `"BBR"`, …). Used by `repro explain` when
@@ -175,15 +168,6 @@ mod tests {
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), Variant::ALL.len());
-    }
-
-    #[test]
-    fn from_name_inverts_serialization() {
-        for v in Variant::ALL {
-            let name = format!("{v:?}");
-            assert_eq!(Variant::from_name(&name), Some(v));
-        }
-        assert_eq!(Variant::from_name("NotAVariant"), None);
     }
 
     #[test]

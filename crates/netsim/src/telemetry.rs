@@ -172,7 +172,7 @@ impl Sampler {
 
 /// Totals absorbed from every [`Simulator`] dropped since the last
 /// [`session::take`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct SessionStats {
     /// Simulators accounted for.
     pub sims: u64,
